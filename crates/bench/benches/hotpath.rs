@@ -13,10 +13,11 @@
 //!   committed `BENCH_hotpath.json` baseline.
 //!
 //! The `replay` group benchmarks the measurement pipeline's epoch-
-//! indexed batched packet replay against the naive per-packet oracle
-//! (index build, batched vs naive walk over the paper's traffic fleet,
-//! and the end-to-end `measure_run`); CI gates it at >25% regression
-//! against the committed `BENCH_replay.json` baseline.
+//! sweep packet replay against the naive per-packet oracle (index
+//! build, batched vs naive walk over the paper's traffic fleet on
+//! clique-8, the batched walk over an `internet:110` `T_down` replay
+//! window, and the end-to-end `measure_run`); CI gates it at >25%
+//! regression against the committed `BENCH_replay.json` baseline.
 //!
 //! Set `BGPSIM_BENCH_JSON=<file>` to emit the machine-readable report.
 
@@ -25,6 +26,7 @@ use std::hint::black_box;
 
 use bgpsim_core::prelude::*;
 use bgpsim_dataplane::prelude::*;
+use bgpsim_experiments::{EventKind, Scenario, TopologySpec};
 use bgpsim_metrics::prelude::*;
 use bgpsim_netsim::prelude::*;
 use bgpsim_netsim::queue::EventQueue;
@@ -157,6 +159,32 @@ fn bench_replay(c: &mut Criterion) {
             black_box(walk_indexed_batch(
                 black_box(&index),
                 black_box(&packets),
+                link_delay,
+            ))
+        })
+    });
+    // The same fleet shape on an Internet-like T_down run: thousands of
+    // epochs shorter than a packet lifetime, so most packets cross
+    // several boundaries in flight.
+    let internet = Scenario::new(
+        TopologySpec::InternetLike {
+            n: 110,
+            topo_seed: 1,
+        },
+        EventKind::TDown,
+    )
+    .with_seed(1)
+    .run();
+    let mut rng = SimRng::new(1).fork(0xDA7A);
+    let sources = paper_sources(internet.record.node_count, internet.destination, &mut rng);
+    let (start, end) = internet.record.replay_window();
+    let internet_packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+    c.bench_function("replay/walk_batched_internet110_tdown", |b| {
+        let index = internet.record.fib.epoch_index(prefix);
+        b.iter(|| {
+            black_box(walk_indexed_batch(
+                black_box(&index),
+                black_box(&internet_packets),
                 link_delay,
             ))
         })

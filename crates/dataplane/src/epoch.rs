@@ -4,11 +4,11 @@
 //! instants. Sorting those instants once yields **epochs**: half-open
 //! intervals `[uₑ₋₁, uₑ)` inside which the whole forwarding graph is
 //! frozen. [`EpochIndex`] materializes that view — the sorted change
-//! instants plus an `O(1)` `(node, epoch) → entry` table — so the
-//! packet-replay engine can replace one binary search per hop
-//! ([`FibHistory::at`](crate::fib::FibHistory::at)) with a monotone
-//! epoch cursor, and so batched walks can be memoized per launch epoch
-//! (see [`walk_all_batched`](crate::replay::walk_all_batched)).
+//! instants, the per-instant delta stream, and an `O(1)`
+//! `(node, epoch) → entry` table for point lookups. The batched packet
+//! replay sweeps the boundaries and deltas epoch by epoch, resolving
+//! packets against each frozen graph (see
+//! [`walk_all_batched`](crate::replay::walk_all_batched)).
 //!
 //! The index owns the same grouped delta stream
 //! ([`NetworkFib::changes_by_time`]) that the incremental loop census

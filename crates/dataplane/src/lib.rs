@@ -20,13 +20,15 @@
 //!
 //! Production measurement replays whole fleets through the
 //! [`epoch::EpochIndex`]: the prefix's FIB history is cut into
-//! *epochs* at its change instants, walks read an `O(1)`
-//! `(node, epoch)` table behind monotone cursors instead of doing a
-//! per-hop binary search, and walks confined to one epoch are memoized
-//! per `(source, epoch, TTL)` ([`replay::walk_all_batched`]). Fates
-//! are bit-identical to the per-packet walk (property-tested); the
-//! same index hands its change stream to the loop census
-//! ([`loopscan::loop_census_deltas`]) so one pass serves both.
+//! *epochs* at its change instants, and one live FIB snapshot sweeps
+//! them in order. Each epoch's frozen forwarding graph gets a lazily
+//! computed per-node fate table (delivered at distance `d`, no route
+//! after `d` hops, or a tail into a cycle), so a packet costs `O(1)`
+//! per epoch boundary it crosses rather than one lookup per hop
+//! ([`replay::walk_all_batched`]). Fates are bit-identical to the
+//! per-packet walk (property-tested); the same index hands its change
+//! stream to the loop census ([`loopscan::loop_census_deltas`]) so one
+//! pass serves both.
 //!
 //! ## Example
 //!

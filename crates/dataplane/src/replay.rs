@@ -7,21 +7,24 @@
 //! a fully interleaved event simulation (`bgpsim-sim` cross-checks
 //! this equivalence).
 //!
-//! [`walk_all_batched`] is the production path: it replays a whole
-//! fleet against a per-prefix [`EpochIndex`], replacing the per-hop
-//! binary search with a monotone epoch cursor and memoizing walks that
-//! stay inside one FIB epoch. Fates are bit-identical to per-packet
+//! [`walk_all_batched`] is the production path: it sweeps a whole
+//! fleet epoch by epoch through a per-prefix [`EpochIndex`]'s delta
+//! stream, keeping one live FIB snapshot and a lazily computed
+//! per-epoch fate table (delivered at distance `d`, no route at a node
+//! after `d` hops, or a tail of `d` hops into a cycle). A packet whose
+//! fate instant precedes the next FIB change is resolved in `O(1)`;
+//! one that outlives its epoch jumps to its first hop past the
+//! boundary and is resolved again there, so the cost scales with epoch
+//! crossings rather than hops. Fates are bit-identical to per-packet
 //! [`walk_packet`] (property-tested here and in CI); the naive walk is
 //! retained as the oracle.
-
-use std::collections::HashMap;
 
 use bgpsim_core::{FibEntry, Prefix};
 use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_topology::NodeId;
 
 use crate::epoch::EpochIndex;
-use crate::fib::NetworkFib;
+use crate::fib::{FibDeltas, NetworkFib};
 use crate::packet::{Packet, PacketFate};
 
 /// Per-hop record of a packet's trajectory (optional detailed output).
@@ -119,9 +122,11 @@ pub fn walk_all(fib: &NetworkFib, packets: &[Packet], link_delay: SimDuration) -
 pub struct ReplayStats {
     /// Packets replayed.
     pub packets: u64,
-    /// Packets whose fate was reconstructed from a memoized walk.
+    /// Packets resolved at launch from their launch epoch's fate table
+    /// (the fate instant precedes the next FIB change).
     pub memo_hits: u64,
-    /// Walks actually executed (`packets - memo_hits`).
+    /// Packets that crossed at least one epoch boundary in flight
+    /// (`packets - memo_hits`).
     pub walks: u64,
     /// Epoch boundaries (distinct FIB change instants) in the indexes
     /// the batch ran against.
@@ -129,7 +134,7 @@ pub struct ReplayStats {
 }
 
 impl ReplayStats {
-    /// Fraction of packets served from the memo, in `[0, 1]`.
+    /// Fraction of packets resolved at launch, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         if self.packets == 0 {
             0.0
@@ -147,43 +152,8 @@ impl ReplayStats {
     }
 }
 
-/// How a memoized walk ended; together with the step count this
-/// reconstructs the exact [`PacketFate`] for any packet that provably
-/// repeats the same trajectory.
-#[derive(Debug, Clone, Copy)]
-enum MemoEnd {
-    Delivered,
-    NoRoute(NodeId),
-    TtlExhausted(NodeId),
-}
-
-/// A send-time-relative walk: `steps` hops of `link_delay` each, then
-/// `end`. Valid for reuse only while the whole walk stays inside the
-/// launch epoch (checked at lookup time against the epoch boundary).
-#[derive(Debug, Clone, Copy)]
-struct MemoWalk {
-    steps: u32,
-    end: MemoEnd,
-}
-
-impl MemoWalk {
-    /// The fate of a packet whose walk ends at `at` (exactly
-    /// `sent_at + steps × link_delay`, matching the naive walk's
-    /// repeated `at += link_delay` in u64 nanoseconds).
-    fn fate_at(&self, at: SimTime) -> PacketFate {
-        match self.end {
-            MemoEnd::Delivered => PacketFate::Delivered {
-                at,
-                hops: self.steps,
-            },
-            MemoEnd::NoRoute(node) => PacketFate::NoRoute { at, node },
-            MemoEnd::TtlExhausted(node) => PacketFate::TtlExhausted { at, node },
-        }
-    }
-}
-
 /// Batched replay: like [`walk_all`] (identical fates, in order), but
-/// through per-prefix [`EpochIndex`]es with single-epoch memoization.
+/// swept epoch by epoch through per-prefix [`EpochIndex`]es.
 ///
 /// See [`walk_indexed_batch`] for the mechanics. Packets are grouped
 /// by prefix and each group gets its own index; callers that already
@@ -210,10 +180,16 @@ pub fn walk_all_batched_stats(
     }
     let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
     let mut stats = ReplayStats::default();
-    for (prefix, mut order) in groups {
+    for (prefix, group) in groups {
         let index = EpochIndex::build(fib, prefix);
-        order.sort_by_key(|&i| packets[i].sent_at);
-        walk_group(&index, packets, &order, link_delay, &mut fates, &mut stats);
+        sweep(
+            &index,
+            packets,
+            group.iter().copied(),
+            link_delay,
+            &mut fates,
+            &mut stats,
+        );
     }
     let fates = fates
         .into_iter()
@@ -226,16 +202,15 @@ pub fn walk_all_batched_stats(
 /// [`EpochIndex`], returning fates in packet order plus the batch's
 /// [`ReplayStats`].
 ///
-/// Mechanics: packets are processed in send-time order behind one
-/// monotone launch-epoch cursor; each executed walk advances its own
-/// epoch cursor per hop (`O(1)` amortized — no per-hop binary search)
-/// and does an `O(1)` table lookup. A walk that never leaves its
-/// launch epoch is memoized under `(source, launch epoch, TTL)` as a
-/// send-time-relative trajectory; a later packet with the same key
-/// reuses it iff its reconstructed fate time still precedes the epoch
-/// boundary — inside a frozen forwarding graph the trajectory is
-/// provably identical, so the reconstructed fate is bit-identical to
-/// what [`walk_packet`] would compute.
+/// Mechanics: one live FIB snapshot advances through the index's delta
+/// stream, epoch by epoch; the `(node, epoch)` table is never read. In
+/// each epoch the packets launched in it and those carried over from
+/// earlier epochs are resolved from the epoch's fate table, computed
+/// lazily per node. Inside a frozen forwarding graph a packet follows
+/// its node's static path, so when its fate instant precedes the next
+/// FIB change the fate is exactly what [`walk_packet`] would compute.
+/// Otherwise the packet moves along the frozen path to its first hop at
+/// or after the boundary and is carried to that hop's epoch.
 pub fn walk_indexed_batch(
     index: &EpochIndex,
     packets: &[Packet],
@@ -245,11 +220,16 @@ pub fn walk_indexed_batch(
         packets.iter().all(|p| p.prefix == index.prefix()),
         "every packet must target the indexed prefix"
     );
-    let mut order: Vec<usize> = (0..packets.len()).collect();
-    order.sort_by_key(|&i| packets[i].sent_at);
     let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
     let mut stats = ReplayStats::default();
-    walk_group(index, packets, &order, link_delay, &mut fates, &mut stats);
+    sweep(
+        index,
+        packets,
+        0..packets.len(),
+        link_delay,
+        &mut fates,
+        &mut stats,
+    );
     let fates = fates
         .into_iter()
         .map(|f| f.expect("every packet was walked"))
@@ -257,103 +237,321 @@ pub fn walk_indexed_batch(
     (fates, stats)
 }
 
-/// Replays one prefix group (`order` = packet indices sorted by send
-/// time) through `index`, filling `fates` slots and accumulating
+/// Where a packet standing at a node ends up inside one frozen epoch,
+/// if the forwarding graph never changed again.
+#[derive(Debug, Clone, Copy)]
+enum NodeFate {
+    /// Reaches the origin `d` hops downstream.
+    Delivered { d: u32 },
+    /// Dropped `d` hops downstream at `node`, which has no route.
+    NoRoute { d: u32, node: NodeId },
+    /// Enters a forwarding cycle after a tail of `d` hops. The cycle is
+    /// `cycles[start..start + len]` in forwarding order, and the tail
+    /// joins it at offset `pos`.
+    Cycle {
+        d: u32,
+        start: u32,
+        len: u32,
+        pos: u32,
+    },
+    /// Scratch mark while a resolution walk is in progress: the node
+    /// sits at this index of the walk's path.
+    OnPath(u32),
+}
+
+impl NodeFate {
+    /// The fate of a node that forwards to a node with fate `self`.
+    fn upstream(self) -> NodeFate {
+        match self {
+            NodeFate::Delivered { d } => NodeFate::Delivered { d: d + 1 },
+            NodeFate::NoRoute { d, node } => NodeFate::NoRoute { d: d + 1, node },
+            NodeFate::Cycle { d, start, len, pos } => NodeFate::Cycle {
+                d: d + 1,
+                start,
+                len,
+                pos,
+            },
+            NodeFate::OnPath(_) => unreachable!("a path mark never leaves its resolution walk"),
+        }
+    }
+}
+
+/// The live FIB snapshot of the current epoch plus its lazily computed
+/// per-node fate table. A node's fate is valid while its stamp equals
+/// the epoch stamp; a snapshot change bumps the epoch stamp, which
+/// invalidates every fate at once without touching the table.
+struct EpochFates {
+    snapshot: Vec<Option<FibEntry>>,
+    fates: Vec<NodeFate>,
+    stamps: Vec<u32>,
+    stamp: u32,
+    /// Every cycle resolved under the current stamp, back to back.
+    cycles: Vec<NodeId>,
+    /// Scratch: the resolution walk's path.
+    path: Vec<NodeId>,
+}
+
+impl EpochFates {
+    /// The all-`None` snapshot of epoch 0.
+    fn new(node_count: usize) -> Self {
+        EpochFates {
+            snapshot: vec![None; node_count],
+            fates: vec![NodeFate::Delivered { d: 0 }; node_count],
+            stamps: vec![0; node_count],
+            stamp: 1,
+            cycles: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
+    /// Applies one epoch's deltas to the snapshot, invalidating the
+    /// fate table if any entry actually changed.
+    fn apply(&mut self, deltas: &FibDeltas) {
+        let mut changed = false;
+        for &(node, entry) in deltas {
+            let slot = &mut self.snapshot[node.index()];
+            changed |= *slot != entry;
+            *slot = entry;
+        }
+        if changed {
+            self.stamp += 1;
+            self.cycles.clear();
+        }
+    }
+
+    /// The fate of `node` in the current snapshot, resolving it (and
+    /// every node downstream of it) on first use.
+    fn fate(&mut self, node: NodeId) -> NodeFate {
+        if self.stamps[node.index()] == self.stamp {
+            return self.fates[node.index()];
+        }
+        self.path.clear();
+        let mut u = node;
+        let mut below = loop {
+            let i = u.index();
+            if self.stamps[i] == self.stamp {
+                let NodeFate::OnPath(k) = self.fates[i] else {
+                    break self.fates[i];
+                };
+                // The walk came back to its own path: path[k..] is a
+                // cycle, entered at its first node.
+                let start = self.cycles.len() as u32;
+                let len = (self.path.len() - k as usize) as u32;
+                for (pos, &w) in self.path[k as usize..].iter().enumerate() {
+                    let pos = pos as u32;
+                    self.fates[w.index()] = NodeFate::Cycle {
+                        d: 0,
+                        start,
+                        len,
+                        pos,
+                    };
+                    self.cycles.push(w);
+                }
+                self.path.truncate(k as usize);
+                break self.fates[i];
+            }
+            self.stamps[i] = self.stamp;
+            let end = match self.snapshot[i] {
+                Some(FibEntry::Local) => NodeFate::Delivered { d: 0 },
+                None => NodeFate::NoRoute { d: 0, node: u },
+                Some(FibEntry::Via(next)) => {
+                    self.fates[i] = NodeFate::OnPath(self.path.len() as u32);
+                    self.path.push(u);
+                    u = next;
+                    continue;
+                }
+            };
+            self.fates[i] = end;
+            break end;
+        };
+        while let Some(w) = self.path.pop() {
+            below = below.upstream();
+            self.fates[w.index()] = below;
+        }
+        self.fates[node.index()]
+    }
+
+    /// The node `hops` hops downstream of `node` in the current
+    /// snapshot. `node`'s fate must already be resolved, and `hops`
+    /// must not run past a delivery or no-route node.
+    fn node_at(&self, mut node: NodeId, mut hops: u32) -> NodeId {
+        loop {
+            match self.fates[node.index()] {
+                NodeFate::Cycle { d, start, len, pos } if hops >= d => {
+                    let offset = (u64::from(pos) + u64::from(hops - d)) % u64::from(len);
+                    return self.cycles[start as usize + offset as usize];
+                }
+                _ if hops == 0 => return node,
+                _ => match self.snapshot[node.index()] {
+                    Some(FibEntry::Via(next)) => {
+                        node = next;
+                        hops -= 1;
+                    }
+                    _ => unreachable!("a hop count never runs past the end of a path"),
+                },
+            }
+        }
+    }
+}
+
+/// A packet in flight: at `node` at time `at`, with `ttl` left.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    packet: usize,
+    node: NodeId,
+    at: SimTime,
+    ttl: u32,
+}
+
+/// Resolves `seg` against the current epoch, which ends just before
+/// `end` (`None`: the last, unbounded epoch). Returns the fate if the
+/// packet seals it inside the epoch; otherwise the packet follows the
+/// frozen path up to its first hop at or after `end` and comes back as
+/// the segment that starts there.
+fn resolve(
+    table: &mut EpochFates,
+    seg: Segment,
+    initial_ttl: u32,
+    end: Option<SimTime>,
+    link_delay: SimDuration,
+) -> Result<PacketFate, Segment> {
+    // Inside a frozen graph the packet follows its node's static path:
+    // it ends there unless the TTL runs out first, at the node `ttl`
+    // hops down that path.
+    let fate = table.fate(seg.node);
+    let steps = match fate {
+        NodeFate::Delivered { d } | NodeFate::NoRoute { d, .. } if d <= seg.ttl => d,
+        _ => seg.ttl,
+    };
+    let at = seg.at + link_delay * u64::from(steps);
+    // The last lookup happens at the fate instant; it must precede the
+    // next change (a lookup exactly at the boundary already sees the
+    // new epoch).
+    if let Some(end) = end.filter(|&end| at >= end) {
+        let hops = (end - seg.at).as_nanos().div_ceil(link_delay.as_nanos()) as u32;
+        return Err(Segment {
+            packet: seg.packet,
+            node: table.node_at(seg.node, hops),
+            at: seg.at + link_delay * u64::from(hops),
+            ttl: seg.ttl - hops,
+        });
+    }
+    Ok(match fate {
+        NodeFate::Delivered { d } if d <= seg.ttl => PacketFate::Delivered {
+            at,
+            hops: initial_ttl - seg.ttl + d,
+        },
+        NodeFate::NoRoute { d, node } if d <= seg.ttl => PacketFate::NoRoute { at, node },
+        _ => PacketFate::TtlExhausted {
+            at,
+            node: table.node_at(seg.node, seg.ttl),
+        },
+    })
+}
+
+/// The epoch in effect at `t` (the number of boundaries `<= t`),
+/// galloping forward from `hint`. Consecutive hops and consecutive
+/// packets of one source lie a few epochs apart, so the search is
+/// usually a step or two.
+fn epoch_from(boundaries: &[SimTime], hint: usize, t: SimTime) -> usize {
+    if hint > 0 && boundaries[hint - 1] > t {
+        return boundaries[..hint].partition_point(|&u| u <= t);
+    }
+    let rest = &boundaries[hint..];
+    let mut bound = 1;
+    while bound < rest.len() && rest[bound - 1] <= t {
+        bound *= 2;
+    }
+    hint + rest[..bound.min(rest.len())].partition_point(|&u| u <= t)
+}
+
+/// Replays one prefix group (`group` = its packet indices, in any
+/// order) through `index`, filling `fates` slots and accumulating
 /// `stats`.
-fn walk_group(
+///
+/// Epoch-major sweep: one live snapshot advances through the index's
+/// delta stream. In each epoch every active segment — a packet
+/// launched in it, or one carried over from an earlier epoch — is
+/// resolved from the epoch's fate table in `O(1)` if its fate instant
+/// precedes the next boundary; otherwise it jumps straight to its
+/// first hop past the boundary and waits in that hop's epoch bucket.
+/// Cost scales with epoch crossings, not hops.
+fn sweep(
     index: &EpochIndex,
     packets: &[Packet],
-    order: &[usize],
+    group: impl Iterator<Item = usize> + Clone,
     link_delay: SimDuration,
     fates: &mut [Option<PacketFate>],
     stats: &mut ReplayStats,
 ) {
     let boundaries = index.boundaries();
-    let changes = boundaries.len();
-    stats.epochs += changes as u64;
-    let mut memo: HashMap<(u32, u32, u32), MemoWalk> = HashMap::new();
-    // Send times arrive sorted, so the launch epoch only moves forward.
-    let mut launch = 0usize;
-    for &i in order {
-        let packet = &packets[i];
-        while launch < changes && boundaries[launch] <= packet.sent_at {
-            launch += 1;
-        }
-        stats.packets += 1;
-        let key = (packet.src.as_u32(), launch as u32, packet.ttl);
-        if let Some(walk) = memo.get(&key) {
-            let fate_at = packet.sent_at + link_delay * u64::from(walk.steps);
-            // Reusable iff the whole walk (last lookup happens at the
-            // fate instant) precedes the next FIB change. Strict: a
-            // lookup exactly at the boundary already sees the new
-            // epoch.
-            if launch == changes || fate_at < boundaries[launch] {
-                stats.memo_hits += 1;
-                fates[i] = Some(walk.fate_at(fate_at));
-                continue;
-            }
-        }
-        stats.walks += 1;
-        let (fate, walk, single_epoch) = walk_indexed(index, packet, link_delay, launch as u32);
-        if single_epoch {
-            memo.insert(key, walk);
-        }
-        fates[i] = Some(fate);
+    let deltas = index.deltas();
+    let epochs = boundaries.len() + 1;
+    stats.epochs += boundaries.len() as u64;
+    // Counting sort of the group by launch epoch: the launches of
+    // epoch e are launches[starts[e]..starts[e + 1]].
+    let launch_epochs = || {
+        group.clone().scan(0, |hint, i| {
+            *hint = epoch_from(boundaries, *hint, packets[i].sent_at);
+            Some((i, *hint))
+        })
+    };
+    let mut starts = vec![0usize; epochs + 1];
+    for (_, e) in launch_epochs() {
+        starts[e + 1] += 1;
     }
-}
+    for e in 0..epochs {
+        starts[e + 1] += starts[e];
+    }
+    let total = starts[epochs];
+    stats.packets += total as u64;
+    let mut launches = vec![0usize; total];
+    let mut fill = starts.clone();
+    for (i, e) in launch_epochs() {
+        launches[fill[e]] = i;
+        fill[e] += 1;
+    }
 
-/// One full walk through the epoch table, starting from a known launch
-/// epoch. Returns the fate, the send-time-relative [`MemoWalk`], and
-/// whether the walk stayed inside its launch epoch (= memoizable).
-fn walk_indexed(
-    index: &EpochIndex,
-    packet: &Packet,
-    link_delay: SimDuration,
-    launch_epoch: u32,
-) -> (PacketFate, MemoWalk, bool) {
-    let boundaries = index.boundaries();
-    let changes = boundaries.len();
-    let mut node = packet.src;
-    let mut at = packet.sent_at;
-    let mut ttl = packet.ttl;
-    let mut steps = 0u32;
-    let mut epoch = launch_epoch as usize;
-    loop {
-        // The hop times of one walk are nondecreasing, so this cursor
-        // is monotone: O(1) amortized per hop.
-        while epoch < changes && boundaries[epoch] <= at {
-            epoch += 1;
+    let mut table = EpochFates::new(index.node_count());
+    // carried[e]: in-flight segments whose next hop falls in epoch e.
+    let mut carried: Vec<Vec<Segment>> = vec![Vec::new(); epochs];
+    let mut in_flight = 0usize;
+    for epoch in 0..epochs {
+        if epoch > 0 {
+            table.apply(&deltas[epoch - 1].1);
         }
-        match index.entry(node, epoch as u32) {
-            Some(FibEntry::Local) => {
-                let fate = PacketFate::Delivered { at, hops: steps };
-                let walk = MemoWalk {
-                    steps,
-                    end: MemoEnd::Delivered,
-                };
-                return (fate, walk, epoch == launch_epoch as usize);
-            }
-            None => {
-                let fate = PacketFate::NoRoute { at, node };
-                let walk = MemoWalk {
-                    steps,
-                    end: MemoEnd::NoRoute(node),
-                };
-                return (fate, walk, epoch == launch_epoch as usize);
-            }
-            Some(FibEntry::Via(next)) => {
-                if ttl == 0 {
-                    let fate = PacketFate::TtlExhausted { at, node };
-                    let walk = MemoWalk {
-                        steps,
-                        end: MemoEnd::TtlExhausted(node),
-                    };
-                    return (fate, walk, epoch == launch_epoch as usize);
+        if in_flight == 0 && starts[epoch] == total {
+            break;
+        }
+        let end = boundaries.get(epoch).copied();
+        let launched = launches[starts[epoch]..starts[epoch + 1]]
+            .iter()
+            .map(|&i| Segment {
+                packet: i,
+                node: packets[i].src,
+                at: packets[i].sent_at,
+                ttl: packets[i].ttl,
+            });
+        for seg in launched.chain(std::mem::take(&mut carried[epoch])) {
+            let initial_ttl = packets[seg.packet].ttl;
+            // Every carried segment has taken at least one hop.
+            let fresh = seg.ttl == initial_ttl;
+            match resolve(&mut table, seg, initial_ttl, end, link_delay) {
+                Ok(fate) => {
+                    if fresh {
+                        stats.memo_hits += 1;
+                    } else {
+                        in_flight -= 1;
+                    }
+                    fates[seg.packet] = Some(fate);
                 }
-                ttl -= 1;
-                steps += 1;
-                at += link_delay;
-                node = next;
+                Err(seg) => {
+                    if fresh {
+                        stats.walks += 1;
+                        in_flight += 1;
+                    }
+                    carried[epoch_from(boundaries, epoch + 1, seg.at)].push(seg);
+                }
             }
         }
     }
@@ -570,9 +768,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_repeat_packets_and_fates_stay_exact() {
-        // Same source, same TTL, stable FIB: all but the first packet
-        // must come from the memo, with bit-identical fates.
+    fn stable_chain_resolves_every_packet_at_launch() {
+        // Same source, stable FIB: every packet's fate comes straight
+        // from its launch epoch's fate table, bit-identical to the
+        // naive walk, and none crosses a boundary.
         let fib = chain_fib();
         let packets: Vec<Packet> = (0..50)
             .map(|i| pkt(2, SimTime::from_millis(10 * i)))
@@ -580,20 +779,20 @@ mod tests {
         let (fates, stats) = walk_all_batched_stats(&fib, &packets, d2());
         assert_eq!(fates, walk_all(&fib, &packets, d2()));
         assert_eq!(stats.packets, 50);
-        assert_eq!(stats.walks, 1);
-        assert_eq!(stats.memo_hits, 49);
-        assert!((stats.hit_rate() - 0.98).abs() < 1e-9);
+        assert_eq!(stats.walks, 0);
+        assert_eq!(stats.memo_hits, 50);
+        assert!((stats.hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn memo_is_not_reused_across_epoch_boundary() {
+    fn packet_crossing_a_boundary_counts_as_a_walk() {
         // Node 1 loses its route at t=100ms. A packet sent just before
-        // the boundary would cross it in flight, so the memoized
-        // pre-boundary walk must NOT be replayed for it.
+        // the boundary crosses it in flight, so its launch epoch cannot
+        // seal its fate: it must be carried into the next epoch.
         let mut fib = chain_fib();
         fib.record(n(1), p(), SimTime::from_millis(100), None);
         let packets = vec![
-            pkt(2, SimTime::ZERO),             // delivered, memoized
+            pkt(2, SimTime::ZERO),             // delivered at launch
             pkt(2, SimTime::from_millis(99)),  // crosses boundary mid-walk
             pkt(2, SimTime::from_millis(200)), // post-boundary epoch
         ];
@@ -602,10 +801,9 @@ mod tests {
         assert!(fates[0].is_delivered());
         assert!(matches!(fates[1], PacketFate::NoRoute { .. }));
         assert!(matches!(fates[2], PacketFate::NoRoute { .. }));
-        // The second packet shares the first's key but fails the
-        // boundary check; the third launches in a new epoch.
-        assert_eq!(stats.memo_hits, 0);
-        assert_eq!(stats.walks, 3);
+        // Only the packet sent at 99 ms crosses a boundary.
+        assert_eq!(stats.memo_hits, 2);
+        assert_eq!(stats.walks, 1);
     }
 
     #[test]
@@ -702,10 +900,24 @@ mod tests {
         fib
     }
 
+    /// Asserts that the batched replay's fates equal the naive
+    /// oracle's and that its counters account for every packet once.
+    fn check_against_oracle(
+        fib: &NetworkFib,
+        packets: &[Packet],
+        delay: SimDuration,
+    ) -> Result<(), TestCaseError> {
+        let (batched, stats) = walk_all_batched_stats(fib, packets, delay);
+        prop_assert_eq!(batched, walk_all(fib, packets, delay));
+        prop_assert_eq!(stats.packets, packets.len() as u64);
+        prop_assert_eq!(stats.walks + stats.memo_hits, stats.packets);
+        Ok(())
+    }
+
     /// Maps raw `(src, sent_at, ttl)` triples into packets. Nanosecond
     /// send times against a 2 ns link delay and tiny TTLs make walks
-    /// routinely straddle epoch boundaries, stressing both the cursor
-    /// and the memo-validity check.
+    /// routinely straddle epoch boundaries, stressing the carry-over of
+    /// in-flight packets.
     fn random_packets(nodes: u32, raw: &[(u32, u64, u32)]) -> Vec<Packet> {
         raw.iter()
             .enumerate()
@@ -713,13 +925,15 @@ mod tests {
                 id: id as u64,
                 src: n(src % nodes),
                 prefix: p(),
-                ttl: ttl % 12,
+                ttl,
                 sent_at: SimTime::from_nanos(sent_at),
             })
             .collect()
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
         /// Tentpole invariant (satellite b): the batched replay is
         /// fate-for-fate bit-identical to the naive per-packet oracle
         /// on random histories and random unsorted packet fleets.
@@ -764,6 +978,104 @@ mod tests {
             prop_assert_eq!(&df, &sf);
             prop_assert_eq!(ds, ss);
             prop_assert_eq!(df, walk_all(&fib, &packets, delay));
+        }
+
+        /// Epochs shorter than the link delay: a single hop skips
+        /// several boundaries, so carried packets land epochs ahead.
+        #[test]
+        fn hops_skipping_several_boundaries_match_oracle(
+            raw in proptest::collection::vec(
+                (0u32..8, 0u32..3, proptest::option::of(0u32..8)), 0..80),
+            pkts in proptest::collection::vec(
+                (0u32..8, 0u64..150, 0u32..40), 0..40),
+            nodes in 2u32..8,
+            delay in 3u64..12,
+        ) {
+            let fib = random_fib(nodes, &raw);
+            let packets = random_packets(nodes, &pkts);
+            check_against_oracle(&fib, &packets, SimDuration::from_nanos(delay))?;
+        }
+
+        /// Packets trapped in cycles of length 2–8 behind tails of up
+        /// to 5 hops, with TTLs of 0–300: the exhaustion node comes
+        /// from the cycle arithmetic. The cycle optionally breaks
+        /// mid-replay (one cycle node turns toward the origin), so
+        /// trapped packets escape and are delivered.
+        #[test]
+        fn cycle_exhaustion_matches_oracle(
+            len in 2u32..9,
+            tail in 0u32..6,
+            entry in 0u32..8,
+            breaks_at in proptest::option::of(0u64..400),
+            pkts in proptest::collection::vec(
+                (0u32..14, 0u64..600, 0u32..301), 1..40),
+        ) {
+            // Node 0 originates; cycle nodes 1..=len; tail nodes after.
+            let nodes = 1 + len + tail;
+            let mut fib = NetworkFib::new(nodes as usize);
+            fib.record(n(0), p(), SimTime::ZERO, Some(FibEntry::Local));
+            for i in 0..len {
+                let next = 1 + (i + 1) % len;
+                fib.record(n(1 + i), p(), SimTime::ZERO, Some(FibEntry::Via(n(next))));
+            }
+            for j in 0..tail {
+                let next = if j == 0 { 1 + entry % len } else { len + j };
+                fib.record(n(1 + len + j), p(), SimTime::ZERO, Some(FibEntry::Via(n(next))));
+            }
+            if let Some(at) = breaks_at {
+                fib.record(n(1), p(), SimTime::from_nanos(at), Some(FibEntry::Via(n(0))));
+            }
+            let packets = random_packets(nodes, &pkts);
+            check_against_oracle(&fib, &packets, SimDuration::from_nanos(2))?;
+        }
+
+        /// Delivered paths longer than the TTL: a chain of up to 60
+        /// hops with TTLs of 0–80, plus random rewirings in flight, so
+        /// the exhaustion node lies part-way down a delivering path.
+        #[test]
+        fn long_delivered_paths_match_oracle(
+            len in 2u32..61,
+            rewires in proptest::collection::vec(
+                (1u32..61, 0u64..200, 0u32..61), 0..6),
+            pkts in proptest::collection::vec(
+                (0u32..61, 0u64..300, 0u32..81), 1..40),
+        ) {
+            let mut fib = NetworkFib::new(len as usize);
+            fib.record(n(0), p(), SimTime::ZERO, Some(FibEntry::Local));
+            for i in 1..len {
+                fib.record(n(i), p(), SimTime::ZERO, Some(FibEntry::Via(n(i - 1))));
+            }
+            let mut rewires: Vec<(u32, u64, u32)> = rewires
+                .into_iter()
+                .map(|(node, at, to)| (node % len, at, to % len))
+                .filter(|&(node, _, to)| node != 0 && node != to)
+                .collect();
+            rewires.sort_by_key(|&(_, at, _)| at);
+            for (node, at, to) in rewires {
+                fib.record(n(node), p(), SimTime::from_nanos(at), Some(FibEntry::Via(n(to))));
+            }
+            let packets = random_packets(len, &pkts);
+            check_against_oracle(&fib, &packets, SimDuration::from_nanos(2))?;
+        }
+
+        /// Duplicate and unsorted send times: packets share a handful
+        /// of launch instants (some exactly on a boundary) and arrive
+        /// in arbitrary order; fates still come back in input order.
+        #[test]
+        fn duplicate_unsorted_send_times_match_oracle(
+            raw in proptest::collection::vec(
+                (0u32..8, 0u32..20, proptest::option::of(0u32..8)), 0..60),
+            pkts in proptest::collection::vec(
+                (0u32..8, 0u64..6, 0u32..20), 0..60),
+            nodes in 2u32..8,
+        ) {
+            let fib = random_fib(nodes, &raw);
+            let pkts: Vec<(u32, u64, u32)> = pkts
+                .into_iter()
+                .map(|(src, slot, ttl)| (src, slot * 16, ttl))
+                .collect();
+            let packets = random_packets(nodes, &pkts);
+            check_against_oracle(&fib, &packets, SimDuration::from_nanos(2))?;
         }
     }
 }

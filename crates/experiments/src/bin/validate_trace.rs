@@ -3,8 +3,10 @@
 //!
 //! Checks, per line: it parses as a JSON object; it carries a known
 //! `kind`, a `seed`, and a timestamp `t`; loop events carry a
-//! non-empty `nodes` array; `measure_summary` lines carry the replay
-//! counters and satisfy `memo_hits + walks == packets`. Across the
+//! non-empty `nodes` array; `run_summary` lines report a nonzero
+//! `wall_ms` (only executed runs emit one); `measure_summary` lines
+//! carry the replay counters and satisfy `memo_hits + walks ==
+//! packets`. Across the
 //! file: every `loop_offset` is
 //! preceded by at least as many `loop_onset`s for the same seed, and
 //! the `run_summary` loop counts of each seed sum to the number of
@@ -131,6 +133,17 @@ fn check_line(
                 .get("events")
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| err("run_summary missing \"events\"".into()))?;
+            // Only executed runs emit a run_summary (cache hits skip
+            // it), and an executed run always takes time.
+            let wall_ms = raw
+                .get("wall_ms")
+                .and_then(|v| v.as_u64())
+                .ok_or_else(|| err("run_summary missing \"wall_ms\"".into()))?;
+            if wall_ms == 0 {
+                return Err(err(
+                    "run_summary reports zero wall time for an executed run".into(),
+                ));
+            }
             loops.summaries += 1;
             loops.summary_loops_sum += n;
             loops.summary_events_sum += events;
@@ -234,7 +247,9 @@ fn check_line(
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| err("job_retry missing numeric \"attempt\"".into()))?;
             if attempt < 2 {
-                return Err(err("job_retry \"attempt\" must be >= 2 (it follows a crash)".into()));
+                return Err(err(
+                    "job_retry \"attempt\" must be >= 2 (it follows a crash)".into(),
+                ));
             }
             raw.get("backoff_ms")
                 .and_then(|v| v.as_u64())

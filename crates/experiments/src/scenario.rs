@@ -501,6 +501,7 @@ impl ScenarioSpec {
         let measure_started = std::time::Instant::now();
         let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
         let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
+        let wall_ms = run_wall_ms(sim_started);
         ScenarioResult {
             destination,
             failure,
@@ -508,6 +509,7 @@ impl ScenarioSpec {
             measurement,
             sim_wall_ms,
             measure_wall_ms,
+            wall_ms,
             shard_queue_hiwater,
         }
     }
@@ -535,6 +537,7 @@ impl ScenarioSpec {
         let measure_started = std::time::Instant::now();
         let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
         let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
+        let wall_ms = run_wall_ms(sim_started);
         Ok(ScenarioResult {
             destination,
             failure,
@@ -542,6 +545,7 @@ impl ScenarioSpec {
             measurement,
             sim_wall_ms,
             measure_wall_ms,
+            wall_ms,
             shard_queue_hiwater,
         })
     }
@@ -612,6 +616,7 @@ impl ScenarioSpec {
         let measure_started = std::time::Instant::now();
         let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
         let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
+        let wall_ms = run_wall_ms(sim_started);
         let shard_queue_hiwater = record.max_queue_depth;
         Ok(ScenarioResult {
             destination,
@@ -620,6 +625,7 @@ impl ScenarioSpec {
             measurement,
             sim_wall_ms,
             measure_wall_ms,
+            wall_ms,
             shard_queue_hiwater,
         })
     }
@@ -707,6 +713,12 @@ fn partial_counters(record: &RunRecord) -> RunCounters {
     }
 }
 
+/// Milliseconds since `started`, rounded up so that any executed run
+/// reports a nonzero wall time.
+fn run_wall_ms(started: std::time::Instant) -> u64 {
+    started.elapsed().as_micros().div_ceil(1000) as u64
+}
+
 /// Picks a `T_long`-suitable destination: among the nodes with the
 /// smallest degree ≥ 2 that have at least one adjacent non-bridge
 /// link, draw one with the given seed.
@@ -745,6 +757,9 @@ pub struct ScenarioResult {
     pub sim_wall_ms: u64,
     /// Wall-clock spent in the measurement pipeline, milliseconds.
     pub measure_wall_ms: u64,
+    /// Wall-clock of the whole run (simulation plus measurement),
+    /// milliseconds, rounded up: an executed run never reads zero.
+    pub wall_ms: u64,
     /// High-water mark of any single worker's event queue: equal to
     /// `record.max_queue_depth` for serial runs, the per-shard maximum
     /// for sharded runs.
@@ -752,8 +767,9 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Aggregated hot-path counters of this run. `wall_ms` is zero
-    /// here; the runner's executor fills it in for jobs.
+    /// Aggregated hot-path counters of this run. `wall_ms` is the
+    /// run's own clock; the runner's executor replaces it with the
+    /// job's (which adds cache store and bookkeeping).
     pub fn counters(&self) -> RunCounters {
         let stats = self.record.total_stats();
         RunCounters {
@@ -763,7 +779,7 @@ impl ScenarioResult {
             decisions: stats.decisions_run,
             loops: self.measurement.census.len() as u64,
             max_queue_depth: self.record.max_queue_depth,
-            wall_ms: 0,
+            wall_ms: self.wall_ms,
             sim_ms: self.sim_wall_ms,
             measure_ms: self.measure_wall_ms,
             replay_packets: self.measurement.replay.packets,
@@ -774,9 +790,9 @@ impl ScenarioResult {
     }
 
     /// Emits the run's loop onset/offset events, its `run_summary`, and
-    /// a `measure_summary` (sim-vs-measure wall split plus replay memo
-    /// effectiveness) to the [global trace
-    /// sink](bgpsim_trace::install). A no-op when no sink is installed.
+    /// a `measure_summary` (sim-vs-measure wall split plus the replay's
+    /// counters) to the [global trace sink](bgpsim_trace::install). A
+    /// no-op when no sink is installed.
     pub fn emit_trace(&self, seed: u64) {
         let tracer = TraceHandle::global();
         if !tracer.is_enabled() {

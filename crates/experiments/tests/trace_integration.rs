@@ -101,6 +101,8 @@ fn tracing_changes_nothing_and_jsonl_matches_metrics() {
             "loop_offset" => counts.offsets += 1,
             "run_summary" => {
                 counts.summary_loops = Some(raw.get("loops").and_then(|v| v.as_u64()).unwrap());
+                let wall_ms = raw.get("wall_ms").and_then(|v| v.as_u64()).unwrap();
+                assert!(wall_ms > 0, "an executed run reports its wall time: {line}");
             }
             _ => {}
         }

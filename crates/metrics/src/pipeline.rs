@@ -8,10 +8,11 @@
 //!
 //! The replay and the loop census share one
 //! [`EpochIndex`](bgpsim_dataplane::EpochIndex) built from
-//! the run's FIB history: packets walk the index's `(node, epoch)`
-//! table (batched, memoized — see `bgpsim-dataplane::replay`) and the
-//! census consumes the index's delta stream, so the whole measurement
-//! makes a single pass over the recorded history. The naive per-packet
+//! the run's FIB history: packets are swept epoch by epoch through the
+//! index's delta stream against per-epoch fate tables (see
+//! `bgpsim-dataplane::replay`) and the census consumes the same delta
+//! stream, so the whole measurement makes a single pass over the
+//! recorded history. The naive per-packet
 //! [`walk_all`](bgpsim_dataplane::walk_all) is kept as the oracle and
 //! cross-checked in tests and CI.
 
@@ -39,7 +40,8 @@ pub struct RunMeasurement {
     pub census_summary: LoopCensusSummary,
     /// What the fault layer did to the run (all zeros when fault-free).
     pub churn: ChurnSummary,
-    /// Replay-engine counters (packets, memo hits, epoch count).
+    /// Replay-engine counters (packets, packets sealed at launch,
+    /// boundary-crossing packets, epoch count).
     pub replay: ReplayStats,
 }
 

@@ -1119,21 +1119,22 @@ impl Runner {
             self.workers,
         );
         // Executed scenario jobs report their sim-vs-measure wall split
-        // and the batched replay's memo effectiveness; jobs without the
-        // instrumentation (or all-cached batches) leave these at zero.
+        // and the share of replayed packets sealed in their launch
+        // epoch; jobs without the instrumentation (or all-cached
+        // batches) leave these at zero.
         let c = s.counters;
         if c.sim_ms + c.measure_ms > 0 || c.replay_packets > 0 {
-            let memo_pct = if c.replay_packets == 0 {
+            let sealed_pct = if c.replay_packets == 0 {
                 0.0
             } else {
                 100.0 * c.replay_memo_hits as f64 / c.replay_packets as f64
             };
             line.push_str(&format!(
-                ", sim {:.1}s / measure {:.1}s, {} packets replayed ({:.1}% memo)",
+                ", sim {:.1}s / measure {:.1}s, {} packets replayed ({:.1}% sealed at launch)",
                 c.sim_ms as f64 / 1e3,
                 c.measure_ms as f64 / 1e3,
                 c.replay_packets,
-                memo_pct,
+                sealed_pct,
             ));
         }
         if s.worker_crashes > 0 {
@@ -1295,7 +1296,10 @@ mod tests {
             "WAL intent precedes execution: {intent}"
         );
         let line = lines.next().unwrap();
-        assert!(line.contains("\"event\":\"job_done\""), "journal line: {line}");
+        assert!(
+            line.contains("\"event\":\"job_done\""),
+            "journal line: {line}"
+        );
         assert!(line.contains("\"label\":\"late\""), "journal line: {line}");
         assert!(line.contains("\"timed_out\":true"), "journal line: {line}");
         assert!(line.contains("\"cached\":false"), "journal line: {line}");
@@ -1521,9 +1525,7 @@ mod tests {
             .with_isolation_config(sh_worker(&format!(
                 "cat >/dev/null; printf '%s\\n' '{verdict}'"
             )));
-        let out = runner
-            .run_jobs(vec![payload_job("iso", "fp-iso")])
-            .unwrap();
+        let out = runner.run_jobs(vec![payload_job("iso", "fp-iso")]).unwrap();
         assert_eq!(out[0], metrics_for(5));
         // Second submission: served from cache, no worker spawned.
         let runner2 = Runner::new(1)

@@ -234,7 +234,9 @@ fn decode_response(stdout: &str) -> Result<Result<JobOutput, AttemptFailure>, St
         })?;
     let counters = match serde::value::field(&v, "counters") {
         Ok(Value::Null) | Err(_) => None,
-        Ok(c) => Some(<RunCounters as serde::Deserialize>::from_value(c).map_err(|e| e.to_string())?),
+        Ok(c) => {
+            Some(<RunCounters as serde::Deserialize>::from_value(c).map_err(|e| e.to_string())?)
+        }
     };
     let mut output = JobOutput::from(metrics.to_metrics());
     output.counters = counters;
@@ -281,9 +283,7 @@ fn describe_exit(status: ExitStatus, stderr: &str) -> String {
     msg
 }
 
-fn drain_thread<R: Read + Send + 'static>(
-    stream: Option<R>,
-) -> std::thread::JoinHandle<String> {
+fn drain_thread<R: Read + Send + 'static>(stream: Option<R>) -> std::thread::JoinHandle<String> {
     std::thread::spawn(move || {
         let mut buf = String::new();
         if let Some(mut stream) = stream {

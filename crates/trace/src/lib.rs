@@ -156,11 +156,13 @@ pub enum TraceEvent {
         measure_ms: u64,
         /// Packets replayed.
         packets: u64,
-        /// Packets served from the replay memo.
+        /// Packets sealed in their launch epoch, straight from that
+        /// epoch's fate table.
         memo_hits: u64,
-        /// Walks actually executed (`packets - memo_hits`).
+        /// Packets that crossed at least one epoch boundary in flight
+        /// (`packets - memo_hits`).
         walks: u64,
-        /// FIB epoch boundaries the replay index covered.
+        /// FIB epoch boundaries the replay swept.
         epochs: u64,
     },
     /// Sharded-run synchronization summary, emitted once per sharded
@@ -668,7 +670,8 @@ pub struct RunCounters {
     pub measure_ms: u64,
     /// Packets replayed by the measurement pipeline.
     pub replay_packets: u64,
-    /// Replayed packets whose fate came from the batched-replay memo.
+    /// Replayed packets sealed in their launch epoch by the batched
+    /// replay's per-epoch fate table.
     pub replay_memo_hits: u64,
     /// Peak resident-set size of the process at the time the counters
     /// were taken, in KiB (`VmHWM` on Linux, 0 elsewhere). Process-wide

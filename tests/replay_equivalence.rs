@@ -234,3 +234,33 @@ fn replay_timing_is_exact() {
         other => panic!("expected delivery, got {other:?}"),
     }
 }
+
+/// The epoch sweep stays an exact oracle match on an Internet-like
+/// `T_down` run, whose many short epochs make most packets cross
+/// several boundaries in flight, and accounts for every packet once.
+#[test]
+fn batched_matches_naive_on_internet_tdown() {
+    let result = Scenario::new(
+        TopologySpec::InternetLike {
+            n: 110,
+            topo_seed: 1,
+        },
+        EventKind::TDown,
+    )
+    .with_seed(1)
+    .run();
+    let record = &result.record;
+    let prefix = Prefix::new(0);
+    let mut rng = SimRng::new(1).fork(0xDA7A);
+    let sources = paper_sources(record.node_count, result.destination, &mut rng);
+    let (start, end) = record.replay_window();
+    let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+    let delay = SimDuration::from_millis(2);
+    let naive = walk_all(&record.fib, &packets, delay);
+    let (batched, stats) = walk_all_batched_stats(&record.fib, &packets, delay);
+    assert_eq!(batched, naive, "batched replay must match the oracle");
+    assert_eq!(stats.packets, packets.len() as u64);
+    assert_eq!(stats.walks + stats.memo_hits, stats.packets);
+    assert!(stats.walks > 0, "some packets must cross an epoch boundary");
+    assert!(stats.memo_hits > 0, "some packets must resolve at launch");
+}
