@@ -79,9 +79,7 @@ pub fn render_rows(title: &str, rows: &[AblationRow]) -> String {
 /// Runs a batch of scenarios through the global runner (parallel,
 /// cached) and returns the metrics in submission order.
 fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<PaperMetrics> {
-    bgpsim_runner::global()
-        .run_jobs(scenarios.into_iter().map(Scenario::into_job).collect())
-        .expect("ablation job failed")
+    crate::figures::common::run_sweep(scenarios.into_iter().map(Scenario::into_job).collect())
 }
 
 /// MRAI jitter on vs off, clique `T_down`. Both configurations run as
@@ -225,9 +223,7 @@ pub fn policy_ablation(n: usize, seeds: &[u64]) -> Vec<AblationRow> {
             },
         ));
     }
-    let ms = bgpsim_runner::global()
-        .run_jobs(jobs)
-        .expect("policy-ablation job failed");
+    let ms = crate::figures::common::run_sweep(jobs);
     let shortest: Vec<PaperMetrics> = ms.iter().copied().step_by(2).collect();
     let gao: Vec<PaperMetrics> = ms.iter().copied().skip(1).step_by(2).collect();
     vec![

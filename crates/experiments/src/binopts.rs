@@ -4,13 +4,17 @@
 //!
 //! ```text
 //! figN [quick|paper] [--trace <file.jsonl>] [--bench <file.json>]
-//!      [--jobs <n>] [--cache-dir <dir>] [--forked] [--shards <k>]
+//!      [--jobs <n>] [--cache-dir <dir>] [--forked]
+//! figN worker
 //! ```
 //!
 //! The flags are layered *on top of* the `BGPSIM_*` environment
 //! variables through [`RunnerConfig::from_env`], so flags win over env
 //! and env wins over defaults. The scale falls back to `BGPSIM_SCALE`
-//! and then to paper scale, as before.
+//! and then to paper scale, as before. A first argument of `worker`
+//! makes the process an isolated worker (see [`crate::worker`]), which
+//! is how `--isolate` / `BGPSIM_ISOLATE=1` works on every binary that
+//! parses its arguments here.
 
 use std::path::PathBuf;
 
@@ -37,24 +41,27 @@ pub struct BinOptions {
     /// `--forked`: share warm-ups across sweep cells (checkpoint/fork;
     /// overrides `BGPSIM_FORK`). Results are bit-identical either way.
     pub forked: bool,
-    /// `--shards <k>`: run every scenario on `k` conservative-parallel
-    /// worker shards (overrides `BGPSIM_SHARDS`; results are
-    /// byte-identical to serial).
-    pub shards: Option<u32>,
 }
 
 /// The usage string appended to parse errors.
 pub const USAGE: &str = "usage: [quick|paper] [--trace <file.jsonl>] [--bench <file.json>] \
-     [--jobs <n>] [--cache-dir <dir>] [--forked] [--shards <k>]";
+     [--jobs <n>] [--cache-dir <dir>] [--forked]";
 
 impl BinOptions {
     /// Parses an argument list (without the program name).
+    ///
+    /// If the first argument is `worker`, the process runs one isolated
+    /// job ([`crate::worker::run`]) and exits instead of returning.
     pub fn parse<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
         let mut opts = BinOptions::default();
-        let mut args = args.into_iter();
+        let mut args = args.into_iter().peekable();
+        if args.peek().map(String::as_str) == Some(crate::worker::WORKER_ARG) {
+            crate::worker::run();
+            std::process::exit(0);
+        }
         while let Some(arg) = args.next() {
             let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
@@ -71,16 +78,6 @@ impl BinOptions {
                         return Err("--jobs needs a positive integer, got 0".into());
                     }
                     opts.jobs = Some(n);
-                }
-                "--shards" => {
-                    let v = value("--shards")?;
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| format!("--shards needs a positive integer, got {v:?}"))?;
-                    if n == 0 {
-                        return Err("--shards needs a positive integer, got 0".into());
-                    }
-                    opts.shards = Some(n);
                 }
                 other => match Scale::parse(other) {
                     Some(scale) if opts.scale.is_none() => opts.scale = Some(scale),
@@ -122,9 +119,6 @@ impl BinOptions {
     pub fn init_runner(&self) -> &'static Runner {
         if self.forked {
             crate::forked::set_fork_enabled(true);
-        }
-        if let Some(shards) = self.shards {
-            crate::shards::set_shards(shards);
         }
         let mut config = RunnerConfig::from_env();
         if let Some(jobs) = self.jobs {
@@ -191,12 +185,9 @@ mod tests {
             "--cache-dir",
             "/tmp/c",
             "--forked",
-            "--shards",
-            "4",
         ]))
         .unwrap();
         assert_eq!(opts.scale, Some(Scale::Quick));
-        assert_eq!(opts.shards, Some(4));
         assert_eq!(opts.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
         assert_eq!(opts.bench.as_deref(), Some(std::path::Path::new("b.json")));
         assert_eq!(opts.jobs, Some(4));
@@ -220,8 +211,6 @@ mod tests {
         assert!(BinOptions::parse(strs(&["--trace"])).is_err());
         assert!(BinOptions::parse(strs(&["--jobs", "zero"])).is_err());
         assert!(BinOptions::parse(strs(&["--jobs", "0"])).is_err());
-        assert!(BinOptions::parse(strs(&["--shards", "0"])).is_err());
-        assert!(BinOptions::parse(strs(&["--shards", "many"])).is_err());
         assert!(BinOptions::parse(strs(&["quick", "paper"])).is_err());
         assert!(BinOptions::parse(strs(&["--frobnicate"])).is_err());
     }

@@ -120,9 +120,7 @@ pub fn run(scale: Scale, options: &ChurnOptions) -> ChurnSweep {
     } else {
         scenarios.into_iter().map(Scenario::into_job).collect()
     };
-    let flat = bgpsim_runner::global()
-        .run_jobs(jobs)
-        .expect("churn sweep job failed");
+    let flat = crate::figures::common::run_sweep(jobs);
     // The cached runner path only carries paper metrics, so the churn
     // counters come from one deterministic local replay per period.
     // Every replay shares the first seed's warm-up (all periods do),

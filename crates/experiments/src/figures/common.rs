@@ -64,12 +64,25 @@ pub fn run_cells(cells: &[Cell], seeds: &[u64]) -> Vec<Vec<PaperMetrics>> {
         .iter()
         .flat_map(|cell| seeds.iter().map(|&seed| cell.scenario(seed)))
         .collect();
-    let flat = bgpsim_runner::global()
-        .run_jobs(crate::forked::sweep_jobs(scenarios))
-        .expect("sweep job failed");
+    let flat = run_sweep(crate::forked::sweep_jobs(scenarios));
     flat.chunks(seeds.len())
         .map(<[PaperMetrics]>::to_vec)
         .collect()
+}
+
+/// Runs `jobs` as one batch on the global runner and returns their
+/// metrics in submission order. A failed job fails the whole sweep:
+/// the runner's typed error goes to stderr, the trace sink is flushed
+/// (crash and retry events land), and the process exits with status 1.
+pub(crate) fn run_sweep(jobs: Vec<bgpsim_runner::Job>) -> Vec<PaperMetrics> {
+    match bgpsim_runner::global().run_jobs(jobs) {
+        Ok(metrics) => metrics,
+        Err(err) => {
+            eprintln!("sweep failed: {err}");
+            bgpsim_trace::flush_global();
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Aggregates each cell of a batch into one point at its `x`.

@@ -130,11 +130,6 @@ pub struct ScenarioSpec {
     /// Flap parameters used when `event` is [`EventKind::Flap`] and no
     /// explicit plan is set.
     pub flap: FlapProfile,
-    /// Worker shards for the conservative-parallel engine; `1` (the
-    /// default) runs the serial engine. Deliberately **excluded from
-    /// the fingerprint**: sharded and serial runs are byte-identical,
-    /// so they share run-cache entries and checkpoint fork points.
-    pub shards: u32,
 }
 
 /// The pre-redesign name of [`ScenarioSpec`], kept so existing callers
@@ -152,7 +147,6 @@ impl ScenarioSpec {
             seed: 0,
             faults: None,
             flap: FlapProfile::default(),
-            shards: 1,
         }
     }
 
@@ -179,16 +173,6 @@ impl ScenarioSpec {
     /// Sets the flap parameters used by [`EventKind::Flap`] scenarios.
     pub fn with_flap(mut self, flap: FlapProfile) -> Self {
         self.flap = flap;
-        self
-    }
-
-    /// Runs the simulation on `shards` conservative-parallel workers
-    /// (`1` = serial engine). Results are byte-identical either way, so
-    /// the knob never appears in [`fingerprint`](Self::fingerprint).
-    /// Forked runs ([`run_forked`](Self::run_forked)) always play their
-    /// tail on the serial engine regardless of this setting.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -484,33 +468,15 @@ impl ScenarioSpec {
     }
 
     /// Runs the scenario: warm-up, failure (or fault plan), measurement.
-    /// Executes on the sharded engine when [`shards`](Self::shards) is
-    /// greater than one; the record is byte-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either phase exhausts the default event budget.
     pub fn run(&self) -> ScenarioResult {
-        let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = std::time::Instant::now();
-        let (record, shard_queue_hiwater) = if self.shards > 1 {
-            let (record, stats) = experiment.run_sharded_stats(self.shards);
-            (record, stats.queue_hiwater)
-        } else {
-            let record = experiment.run();
-            let hiwater = record.max_queue_depth;
-            (record, hiwater)
-        };
-        let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
-        let measure_started = std::time::Instant::now();
-        let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
-        let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
-        let wall_ms = run_wall_ms(sim_started);
-        ScenarioResult {
-            destination,
-            failure,
-            record,
-            measurement,
-            sim_wall_ms,
-            measure_wall_ms,
-            wall_ms,
-            shard_queue_hiwater,
+        match self.run_budgeted(&RunBudget::unlimited()) {
+            Ok(result) => result,
+            Err(e) if e.phase == "warmup" => panic!("warm-up exhausted the event budget"),
+            Err(_) => panic!("post-failure convergence exhausted the event budget"),
         }
     }
 
@@ -525,20 +491,25 @@ impl ScenarioSpec {
     pub fn run_budgeted(&self, limit: &RunBudget) -> Result<ScenarioResult, Box<BudgetExceeded>> {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = std::time::Instant::now();
-        let (record, shard_queue_hiwater) = if self.shards > 1 {
-            let (record, stats) = experiment.run_sharded_budgeted(self.shards, limit)?;
-            (record, stats.queue_hiwater)
-        } else {
-            let record = experiment.run_budgeted(limit)?;
-            let hiwater = record.max_queue_depth;
-            (record, hiwater)
-        };
+        let record = experiment.run_budgeted(limit)?;
+        Ok(self.measure(record, destination, failure, sim_started))
+    }
+
+    /// Measures a finished `record` into a [`ScenarioResult`], timing
+    /// the measurement and the whole run from `sim_started`.
+    fn measure(
+        &self,
+        record: RunRecord,
+        destination: NodeId,
+        failure: FailureEvent,
+        sim_started: std::time::Instant,
+    ) -> ScenarioResult {
         let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
         let measure_started = std::time::Instant::now();
         let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
         let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
         let wall_ms = run_wall_ms(sim_started);
-        Ok(ScenarioResult {
+        ScenarioResult {
             destination,
             failure,
             record,
@@ -546,8 +517,7 @@ impl ScenarioSpec {
             sim_wall_ms,
             measure_wall_ms,
             wall_ms,
-            shard_queue_hiwater,
-        })
+        }
     }
 
     /// Runs this scenario's warm-up to quiescence and captures the
@@ -612,22 +582,7 @@ impl ScenarioSpec {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = std::time::Instant::now();
         let record = experiment.resume_from_budgeted(snap, limit)?;
-        let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
-        let measure_started = std::time::Instant::now();
-        let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
-        let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
-        let wall_ms = run_wall_ms(sim_started);
-        let shard_queue_hiwater = record.max_queue_depth;
-        Ok(ScenarioResult {
-            destination,
-            failure,
-            record,
-            measurement,
-            sim_wall_ms,
-            measure_wall_ms,
-            wall_ms,
-            shard_queue_hiwater,
-        })
+        Ok(self.measure(record, destination, failure, sim_started))
     }
 
     /// Like [`into_job`](Self::into_job), but the job draws its warm-up
@@ -709,7 +664,6 @@ fn partial_counters(record: &RunRecord) -> RunCounters {
         replay_packets: 0,
         replay_memo_hits: 0,
         peak_rss_kb: bgpsim_trace::peak_rss_kb(),
-        shard_queue_hiwater: record.max_queue_depth,
     }
 }
 
@@ -760,10 +714,6 @@ pub struct ScenarioResult {
     /// Wall-clock of the whole run (simulation plus measurement),
     /// milliseconds, rounded up: an executed run never reads zero.
     pub wall_ms: u64,
-    /// High-water mark of any single worker's event queue: equal to
-    /// `record.max_queue_depth` for serial runs, the per-shard maximum
-    /// for sharded runs.
-    pub shard_queue_hiwater: u64,
 }
 
 impl ScenarioResult {
@@ -785,7 +735,6 @@ impl ScenarioResult {
             replay_packets: self.measurement.replay.packets,
             replay_memo_hits: self.measurement.replay.memo_hits,
             peak_rss_kb: bgpsim_trace::peak_rss_kb(),
-            shard_queue_hiwater: self.shard_queue_hiwater,
         }
     }
 

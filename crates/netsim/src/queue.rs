@@ -5,11 +5,10 @@
 //! sequence number as the tag, so two events scheduled for the same
 //! instant are delivered in the order they were scheduled — the classic
 //! serial behavior. [`EventQueue::schedule_ordered`] lets the caller
-//! supply the tag instead; the sharded simulation uses this to give
-//! every event a *shard-independent* key, so K per-shard queues pop
-//! their slices of the event stream in exactly the order one global
-//! queue would have. This makes every run with the same seed
-//! bit-for-bit reproducible, serial or sharded.
+//! supply the tag instead; the simulation uses this to key every event
+//! by its scheduling node's lane (`lane << 40 | counter`), the order
+//! every cached result and checkpoint was produced under. Either way,
+//! every run with the same seed is bit-for-bit reproducible.
 //!
 //! Cancellation is lazy: the queue keeps one *live* bit per issued
 //! sequence number — set on schedule, cleared on delivery or
@@ -44,7 +43,7 @@ impl EventId {
     /// queue snapshot must stay valid against the restored queue
     /// (sequence numbers are preserved verbatim). A fabricated id is
     /// harmless: cancelling it is a no-op unless it names a live event.
-    pub const fn from_raw(raw: u64) -> EventId {
+    pub fn from_raw(raw: u64) -> EventId {
         EventId(raw)
     }
 }
@@ -197,9 +196,8 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` at `time` under an explicit total-order tag.
     ///
-    /// Same-instant events deliver in ascending `order`; the sharded
-    /// engine assigns tags from a shard-independent rule so K partial
-    /// queues agree with the one global queue on delivery order.
+    /// Same-instant events deliver in ascending `order`, whatever the
+    /// order they were scheduled in.
     pub fn schedule_ordered(&mut self, time: SimTime, order: u64, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -207,12 +205,6 @@ impl<E> EventQueue<E> {
         self.payloads.push_back(Some(payload));
         self.heap.push(Key { time, order, seq });
         EventId(seq)
-    }
-
-    /// Returns `true` if the event with this id is still pending
-    /// (scheduled and neither delivered nor cancelled). O(1).
-    pub fn is_live(&self, id: EventId) -> bool {
-        id.0 < self.next_seq && self.live.contains(id.0)
     }
 
     /// Frees the payload slot for `seq` (which must be occupied) and
@@ -261,18 +253,10 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event, skipping cancelled
     /// entries.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        self.pop_keyed()
-            .map(|(time, _, id, payload)| (time, id, payload))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's order tag —
-    /// the sharded merge needs the full `(time, order)` key of every
-    /// dispatch.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, EventId, E)> {
         while let Some(key) = self.heap.pop() {
             if self.live.remove(key.seq) {
                 let payload = self.take_payload(key.seq);
-                return Some((key.time, key.order, EventId(key.seq), payload));
+                return Some((key.time, EventId(key.seq), payload));
             }
             // Not live: cancelled earlier; discard the dead key.
         }
@@ -553,6 +537,9 @@ mod tests {
 
     #[test]
     fn explicit_order_tags_override_schedule_order() {
+        // The simulation's per-lane order keys rely on this: events at
+        // one instant deliver in ascending order key, not in the order
+        // they were scheduled.
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
         q.schedule_ordered(t, 30, 'c');
@@ -560,58 +547,6 @@ mod tests {
         q.schedule_ordered(t, 20, 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn pop_keyed_returns_the_order_tag() {
-        let mut q = EventQueue::new();
-        q.schedule_ordered(SimTime::from_secs(1), 77, "x");
-        let (t, order, _, ev) = q.pop_keyed().unwrap();
-        assert_eq!((t, order, ev), (SimTime::from_secs(1), 77, "x"));
-    }
-
-    #[test]
-    fn is_live_tracks_lifecycle() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), 1);
-        let b = q.schedule(SimTime::from_secs(2), 2);
-        assert!(q.is_live(a) && q.is_live(b));
-        q.cancel(a);
-        assert!(!q.is_live(a));
-        q.pop();
-        assert!(!q.is_live(b));
-        assert!(!q.is_live(EventId(99)), "unissued ids are not live");
-    }
-
-    #[test]
-    fn partitioned_queues_agree_with_one_global_queue() {
-        // The sharded-engine invariant in miniature: the same keyed
-        // events spread over two queues pop, merged by (time, order),
-        // in exactly the global queue's order.
-        let events: Vec<(u64, u64, u32)> = vec![
-            (5, 3, 0),
-            (5, 1, 1),
-            (2, 9, 2),
-            (5, 2, 3),
-            (2, 4, 4),
-            (7, 0, 5),
-        ];
-        let mut global = EventQueue::new();
-        let mut parts = [EventQueue::new(), EventQueue::new()];
-        for &(t, order, val) in &events {
-            global.schedule_ordered(SimTime::from_secs(t), order, val);
-            parts[(val % 2) as usize].schedule_ordered(SimTime::from_secs(t), order, val);
-        }
-        let serial: Vec<u32> = std::iter::from_fn(|| global.pop().map(|(_, _, e)| e)).collect();
-        let mut merged: Vec<(u64, u64, u32)> = Vec::new();
-        for q in parts.iter_mut() {
-            while let Some((t, order, _, e)) = q.pop_keyed() {
-                merged.push((t.as_nanos(), order, e));
-            }
-        }
-        merged.sort_by_key(|&(t, order, _)| (t, order));
-        let sharded: Vec<u32> = merged.into_iter().map(|(_, _, e)| e).collect();
-        assert_eq!(serial, sharded);
     }
 
     proptest! {

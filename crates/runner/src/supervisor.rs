@@ -21,7 +21,7 @@
 //! Metrics cross the boundary in the run cache's serializable mirror
 //! form (shortest-round-trip floats), so an isolated run's output is
 //! bit-identical to an in-process run of the same spec — isolation is
-//! pure execution policy, exactly like `--shards`.
+//! pure execution policy, exactly like `--jobs`.
 
 use std::io::{Read, Write};
 use std::process::{Command, ExitStatus, Stdio};

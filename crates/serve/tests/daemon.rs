@@ -141,21 +141,21 @@ fn concurrent_identical_submissions_share_the_cache_and_stream_identically() {
 }
 
 #[test]
-fn sharded_submission_streams_identically_to_serial() {
-    // Isolated caches so the sharded daemon actually simulates instead
-    // of replaying the serial daemon's cached results.
-    let (ref_server, ref_addr, _ref_dir) = boot("shard-ref", 2, AdmissionLimits::default());
-    let (server, addr, _dir) = boot("shard", 2, AdmissionLimits::default());
+fn deprecated_shards_field_streams_identically_to_a_plain_submission() {
+    // Isolated caches so the second daemon actually simulates instead
+    // of replaying the first daemon's cached results.
+    let (ref_server, ref_addr, _ref_dir) = boot("plain-ref", 2, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("deprecated-shards", 2, AdmissionLimits::default());
 
-    let serial = r#"{"topology":"clique:8","event":"tdown","seeds":[5]}"#;
-    let resp = post(&ref_addr, "/v1/jobs", "alice", serial);
+    let plain = r#"{"topology":"clique:8","event":"tdown","seeds":[5]}"#;
+    let resp = post(&ref_addr, "/v1/jobs", "alice", plain);
     assert_eq!(resp.status, 201, "{}", resp.text());
     let id = field(&resp.text(), "id").unwrap();
     let reference = get(&ref_addr, &format!("/v1/jobs/{id}/results")).text();
     ref_server.shutdown();
 
-    let sharded = r#"{"topology":"clique:8","event":"tdown","seeds":[5],"shards":3}"#;
-    let resp = post(&addr, "/v1/jobs", "bob", sharded);
+    let with_shards = r#"{"topology":"clique:8","event":"tdown","seeds":[5],"shards":3}"#;
+    let resp = post(&addr, "/v1/jobs", "bob", with_shards);
     assert_eq!(resp.status, 201, "{}", resp.text());
     let id = field(&resp.text(), "id").unwrap();
     let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
@@ -163,7 +163,7 @@ fn sharded_submission_streams_identically_to_serial() {
     assert_eq!(
         stream.text(),
         reference,
-        "shards must not change the result stream, byte for byte"
+        "the ignored shards field must not change the result stream"
     );
     server.shutdown();
 }

@@ -80,11 +80,12 @@ impl FailureEvent {
 ///
 /// Failures are split into halves when they are **scheduled**, not when
 /// they fire: a `LinkDown {a, b}` becomes two `FailureHalf` events with
-/// adjacent order keys — one dispatched on `a`, one on `b`. Under the
-/// sharded engine each half runs on its endpoint's owning shard; the
-/// serial engine dispatches them back-to-back at the same instant, so
-/// both engines execute the identical event sequence and the split is
-/// unobservable in any [`RunRecord`](crate::RunRecord) field.
+/// adjacent order keys — one dispatched on `a`, one on `b`. Each half
+/// acts under its own node's RNG lane and order counter, and the two
+/// dispatch back-to-back at the same instant, so the split is
+/// unobservable in any [`RunRecord`](crate::RunRecord) field. The
+/// split is part of the event order that every cached result and
+/// checkpoint was produced under.
 ///
 /// `origin_event` is `Some` on exactly one half per injected failure
 /// (the *primary* half), which carries the run-level bookkeeping: the
@@ -159,9 +160,9 @@ impl FailureEvent {
     ///
     /// `peers_of` supplies the neighbor list used for [`NodeDown`]
     /// (the node's current peers at scheduling time); the other
-    /// variants ignore it. The returned order is deterministic and
-    /// shard-independent: callers schedule the halves consecutively so
-    /// they stay adjacent in the global `(time, order)` event order.
+    /// variants ignore it. The returned order is deterministic:
+    /// callers schedule the halves consecutively so they stay adjacent
+    /// in the `(time, order)` event order.
     ///
     /// [`NodeDown`]: FailureEvent::NodeDown
     pub fn halves<F>(self, peers_of: F) -> Vec<FailureHalf>

@@ -26,7 +26,6 @@ use crate::failure::FailureEvent;
 use crate::network::{NetworkSnapshot, RunOutcome, SimNetwork};
 use crate::params::SimParams;
 use crate::record::RunRecord;
-use crate::sharded::ShardRunStats;
 
 /// Default per-phase event budget — far above any legitimate
 /// convergence at the paper's scales, so hitting it means divergence.
@@ -277,57 +276,6 @@ impl ConvergenceExperiment {
             }));
         }
         Ok(net.into_record())
-    }
-
-    /// Runs the experiment on `shards` worker threads (see
-    /// [`run_sharded_budgeted`](Self::run_sharded_budgeted)) and
-    /// returns the record alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_sharded(&self, shards: u32) -> RunRecord {
-        self.run_sharded_stats(shards).0
-    }
-
-    /// Like [`run_sharded`](Self::run_sharded), also returning the
-    /// run's [`ShardRunStats`] (sync rounds, null messages, barrier
-    /// wait, per-shard event counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_sharded_stats(&self, shards: u32) -> (RunRecord, ShardRunStats) {
-        match self.run_sharded_budgeted(shards, &RunBudget::unlimited()) {
-            Ok(out) => out,
-            Err(e) if e.phase == "warmup" => panic!("warm-up exhausted the event budget"),
-            Err(_) => panic!("post-failure convergence exhausted the event budget"),
-        }
-    }
-
-    /// Runs warm-up then failure on `shards` conservative-parallel
-    /// worker threads. A completed run's [`RunRecord`] — and its trace
-    /// stream — is byte-identical to [`run_budgeted`](Self::run_budgeted)'s;
-    /// the serial engine remains the oracle. Sharding changes only
-    /// wall-clock time and the granularity at which watchdog limits
-    /// are honored: budget trips land on window boundaries instead of
-    /// event-chunk boundaries, so *partial* records may differ from
-    /// serial partial records.
-    ///
-    /// Falls back to the serial engine when `shards <= 1`, the graph
-    /// has fewer nodes than shards would need, or the link delay is
-    /// zero (the window protocol's lookahead is the link delay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is not in the graph or the fault plan is
-    /// rejected (configuration errors, not runtime conditions).
-    pub fn run_sharded_budgeted(
-        &self,
-        shards: u32,
-        limit: &RunBudget,
-    ) -> Result<(RunRecord, ShardRunStats), Box<BudgetExceeded>> {
-        crate::sharded::run_sharded_budgeted(self, shards, limit)
     }
 
     /// Runs the experiment up to `beat` and captures a [`RunSnapshot`]
