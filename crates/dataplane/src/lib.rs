@@ -25,10 +25,15 @@
 //! computed per-node fate table (delivered at distance `d`, no route
 //! after `d` hops, or a tail into a cycle), so a packet costs `O(1)`
 //! per epoch boundary it crosses rather than one lookup per hop
-//! ([`replay::walk_all_batched`]). Fates are bit-identical to the
-//! per-packet walk (property-tested); the same index hands its change
-//! stream to the loop census ([`loopscan::loop_census_deltas`]) so one
-//! pass serves both.
+//! ([`replay::sweep`]). The sweep reads its packets as a time-ordered
+//! launch stream ([`source::fleet_send_times`]) and hands each fate to
+//! a sink as it is sealed, so measuring a run materializes neither
+//! packets nor fates; the batch functions ([`replay::walk_indexed_batch`],
+//! [`replay::walk_all_batched`]) wrap the same sweep for callers that
+//! hold a packet slice. Fates are bit-identical to the per-packet walk
+//! (property-tested); the same index hands its change stream to the
+//! loop census ([`loopscan::loop_census_deltas`]) so one pass serves
+//! both.
 //!
 //! ## Example
 //!
@@ -64,10 +69,10 @@ pub use fib::{FibDeltas, FibHistory, NetworkFib};
 pub use loopscan::{find_loops, loop_census, loop_census_deltas, loop_census_full, LoopRecord};
 pub use packet::{Packet, PacketFate, DEFAULT_TTL};
 pub use replay::{
-    generate_packets, walk_all, walk_all_batched, walk_all_batched_stats, walk_indexed_batch,
-    walk_packet, walk_packet_traced, ReplayStats,
+    generate_packets, sweep, walk_all, walk_all_batched, walk_all_batched_stats,
+    walk_indexed_batch, walk_packet, walk_packet_traced, Launch, ReplayStats,
 };
-pub use source::{paper_sources, CbrSource};
+pub use source::{fleet_send_times, paper_sources, CbrSource};
 
 /// Commonly used types, for glob import.
 pub mod prelude {
@@ -79,7 +84,7 @@ pub mod prelude {
     pub use crate::packet::{Packet, PacketFate, DEFAULT_TTL};
     pub use crate::replay::{
         generate_packets, walk_all, walk_all_batched, walk_all_batched_stats, walk_indexed_batch,
-        walk_packet, walk_packet_traced, ReplayStats,
+        walk_packet, walk_packet_traced, Launch, ReplayStats,
     };
-    pub use crate::source::{paper_sources, CbrSource};
+    pub use crate::source::{fleet_send_times, paper_sources, CbrSource};
 }

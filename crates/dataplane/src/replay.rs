@@ -7,17 +7,24 @@
 //! a fully interleaved event simulation (`bgpsim-sim` cross-checks
 //! this equivalence).
 //!
-//! [`walk_all_batched`] is the production path: it sweeps a whole
-//! fleet epoch by epoch through a per-prefix [`EpochIndex`]'s delta
-//! stream, keeping one live FIB snapshot and a lazily computed
+//! [`sweep`] is the production engine: it replays a stream of
+//! [`Launch`]es epoch by epoch through a per-prefix [`EpochIndex`]'s
+//! delta stream, keeping one live FIB snapshot and a lazily computed
 //! per-epoch fate table (delivered at distance `d`, no route at a node
 //! after `d` hops, or a tail of `d` hops into a cycle). A packet whose
 //! fate instant precedes the next FIB change is resolved in `O(1)`;
 //! one that outlives its epoch jumps to its first hop past the
 //! boundary and is resolved again there, so the cost scales with epoch
-//! crossings rather than hops. Fates are bit-identical to per-packet
-//! [`walk_packet`] (property-tested here and in CI); the naive walk is
-//! retained as the oracle.
+//! crossings rather than hops. Each fate goes to a caller's sink as it
+//! is sealed, and the sweep holds only the packets in flight, so a
+//! streamed launch source ([`fleet_send_times`](crate::source::fleet_send_times))
+//! replays a whole run in memory independent of its packet count.
+//!
+//! [`walk_indexed_batch`] and [`walk_all_batched`] are batch wrappers
+//! over the same sweep: they sort a packet slice by launch epoch and
+//! collect the fates in packet order. Fates are bit-identical to
+//! per-packet [`walk_packet`] (property-tested here and in CI); the
+//! naive walk is retained as the oracle.
 
 use bgpsim_core::{FibEntry, Prefix};
 use bgpsim_netsim::time::{SimDuration, SimTime};
@@ -116,8 +123,8 @@ pub fn walk_all(fib: &NetworkFib, packets: &[Packet], link_delay: SimDuration) -
         .collect()
 }
 
-/// Counters from one batched replay ([`walk_all_batched_stats`] /
-/// [`walk_indexed_batch`]).
+/// Counters from one replay ([`sweep`], and the batch functions over
+/// it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Packets replayed.
@@ -182,14 +189,13 @@ pub fn walk_all_batched_stats(
     let mut stats = ReplayStats::default();
     for (prefix, group) in groups {
         let index = EpochIndex::build(fib, prefix);
-        sweep(
+        stats.merge(&sweep_batch(
             &index,
             packets,
             group.iter().copied(),
             link_delay,
             &mut fates,
-            &mut stats,
-        );
+        ));
     }
     let fates = fates
         .into_iter()
@@ -221,15 +227,7 @@ pub fn walk_indexed_batch(
         "every packet must target the indexed prefix"
     );
     let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
-    let mut stats = ReplayStats::default();
-    sweep(
-        index,
-        packets,
-        0..packets.len(),
-        link_delay,
-        &mut fates,
-        &mut stats,
-    );
+    let stats = sweep_batch(index, packets, 0..packets.len(), link_delay, &mut fates);
     let fates = fates
         .into_iter()
         .map(|f| f.expect("every packet was walked"))
@@ -321,10 +319,18 @@ impl EpochFates {
 
     /// The fate of `node` in the current snapshot, resolving it (and
     /// every node downstream of it) on first use.
+    #[inline]
     fn fate(&mut self, node: NodeId) -> NodeFate {
         if self.stamps[node.index()] == self.stamp {
             return self.fates[node.index()];
         }
+        self.resolve_fate(node)
+    }
+
+    /// [`fate`](Self::fate)'s slow path, kept out of line so the cached
+    /// lookup inlines into the sweep.
+    #[inline(never)]
+    fn resolve_fate(&mut self, node: NodeId) -> NodeFate {
         self.path.clear();
         let mut u = node;
         let mut below = loop {
@@ -394,13 +400,29 @@ impl EpochFates {
     }
 }
 
-/// A packet in flight: at `node` at time `at`, with `ttl` left.
+/// One packet entering [`sweep`]: it leaves `src` at `sent_at` with
+/// `ttl` hops to live, and `tag` comes back with its fate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Launch<T> {
+    /// Identifies the packet to the fate sink.
+    pub tag: T,
+    /// The AS that sends the packet.
+    pub src: NodeId,
+    /// When the packet leaves the source.
+    pub sent_at: SimTime,
+    /// Initial TTL.
+    pub ttl: u32,
+}
+
+/// A packet in flight: at `node` at time `at`, with `ttl` of its
+/// `initial_ttl` left.
 #[derive(Debug, Clone, Copy)]
-struct Segment {
-    packet: usize,
+struct Segment<T> {
+    tag: T,
     node: NodeId,
     at: SimTime,
     ttl: u32,
+    initial_ttl: u32,
 }
 
 /// Resolves `seg` against the current epoch, which ends just before
@@ -408,13 +430,16 @@ struct Segment {
 /// packet seals it inside the epoch; otherwise the packet follows the
 /// frozen path up to its first hop at or after `end` and comes back as
 /// the segment that starts there.
-fn resolve(
+///
+/// Forced inline: the sweep calls it from two loops, and as an
+/// out-of-line call it costs the batch replay 20–35%.
+#[inline(always)]
+fn resolve<T>(
     table: &mut EpochFates,
-    seg: Segment,
-    initial_ttl: u32,
+    seg: Segment<T>,
     end: Option<SimTime>,
     link_delay: SimDuration,
-) -> Result<PacketFate, Segment> {
+) -> Result<PacketFate, Segment<T>> {
     // Inside a frozen graph the packet follows its node's static path:
     // it ends there unless the TTL runs out first, at the node `ttl`
     // hops down that path.
@@ -430,16 +455,16 @@ fn resolve(
     if let Some(end) = end.filter(|&end| at >= end) {
         let hops = (end - seg.at).as_nanos().div_ceil(link_delay.as_nanos()) as u32;
         return Err(Segment {
-            packet: seg.packet,
             node: table.node_at(seg.node, hops),
             at: seg.at + link_delay * u64::from(hops),
             ttl: seg.ttl - hops,
+            ..seg
         });
     }
     Ok(match fate {
         NodeFate::Delivered { d } if d <= seg.ttl => PacketFate::Delivered {
             at,
-            hops: initial_ttl - seg.ttl + d,
+            hops: seg.initial_ttl - seg.ttl + d,
         },
         NodeFate::NoRoute { d, node } if d <= seg.ttl => PacketFate::NoRoute { at, node },
         _ => PacketFate::TtlExhausted {
@@ -466,30 +491,18 @@ fn epoch_from(boundaries: &[SimTime], hint: usize, t: SimTime) -> usize {
 }
 
 /// Replays one prefix group (`group` = its packet indices, in any
-/// order) through `index`, filling `fates` slots and accumulating
-/// `stats`.
-///
-/// Epoch-major sweep: one live snapshot advances through the index's
-/// delta stream. In each epoch every active segment — a packet
-/// launched in it, or one carried over from an earlier epoch — is
-/// resolved from the epoch's fate table in `O(1)` if its fate instant
-/// precedes the next boundary; otherwise it jumps straight to its
-/// first hop past the boundary and waits in that hop's epoch bucket.
-/// Cost scales with epoch crossings, not hops.
-fn sweep(
+/// order) through `index`: counting-sorts it by launch epoch, then
+/// feeds it to [`sweep`], writing each fate into its packet's slot.
+fn sweep_batch(
     index: &EpochIndex,
     packets: &[Packet],
     group: impl Iterator<Item = usize> + Clone,
     link_delay: SimDuration,
     fates: &mut [Option<PacketFate>],
-    stats: &mut ReplayStats,
-) {
+) -> ReplayStats {
     let boundaries = index.boundaries();
-    let deltas = index.deltas();
     let epochs = boundaries.len() + 1;
-    stats.epochs += boundaries.len() as u64;
-    // Counting sort of the group by launch epoch: the launches of
-    // epoch e are launches[starts[e]..starts[e + 1]].
+    // The launches of epoch e are order[starts[e]..starts[e + 1]].
     let launch_epochs = || {
         group.clone().scan(0, |hint, i| {
             *hint = epoch_from(boundaries, *hint, packets[i].sent_at);
@@ -503,58 +516,112 @@ fn sweep(
     for e in 0..epochs {
         starts[e + 1] += starts[e];
     }
-    let total = starts[epochs];
-    stats.packets += total as u64;
-    let mut launches = vec![0usize; total];
-    let mut fill = starts.clone();
+    let mut order = vec![0usize; starts[epochs]];
     for (i, e) in launch_epochs() {
-        launches[fill[e]] = i;
-        fill[e] += 1;
+        order[starts[e]] = i;
+        starts[e] += 1;
     }
+    let launches = order.into_iter().map(|i| Launch {
+        tag: i,
+        src: packets[i].src,
+        sent_at: packets[i].sent_at,
+        ttl: packets[i].ttl,
+    });
+    sweep(index, launches, link_delay, |i, fate| fates[i] = Some(fate))
+}
+
+/// Replays a stream of launches toward `index.prefix()` and hands each
+/// packet's fate to `sink` with the packet's tag; returns the run's
+/// [`ReplayStats`]. This is the one replay engine: the batch functions
+/// above sort a packet slice into a launch stream and collect the
+/// fates into a `Vec`, and streamed measurement (`bgpsim-metrics`)
+/// feeds a CBR fleet straight in and folds the fates into counters, so
+/// nothing it keeps grows with the packet count.
+///
+/// `launches` must come in nondecreasing launch epoch (a time-ordered
+/// stream qualifies); the sweep reads it lazily, one launch ahead.
+/// Fates arrive in epoch order, not launch order.
+///
+/// Epoch-major sweep: one live snapshot advances through the index's
+/// delta stream. In each epoch every active segment — a packet
+/// launched in it, or one carried over from an earlier epoch — is
+/// resolved from the epoch's fate table in `O(1)` if its fate instant
+/// precedes the next boundary; otherwise it jumps straight to its
+/// first hop past the boundary and waits in that hop's epoch bucket.
+/// Cost scales with epoch crossings, not hops, and the only state
+/// beyond the snapshot is the packets in flight. The sweep ends once
+/// the stream is exhausted and nothing is in flight.
+///
+/// # Panics
+///
+/// Panics if a launch's epoch precedes an earlier launch's.
+pub fn sweep<T: Copy>(
+    index: &EpochIndex,
+    launches: impl IntoIterator<Item = Launch<T>>,
+    link_delay: SimDuration,
+    mut sink: impl FnMut(T, PacketFate),
+) -> ReplayStats {
+    let boundaries = index.boundaries();
+    let deltas = index.deltas();
+    let epochs = boundaries.len() + 1;
+    let mut stats = ReplayStats {
+        epochs: boundaries.len() as u64,
+        ..ReplayStats::default()
+    };
+    let mut launches = launches.into_iter();
+    let mut next = launches.next();
 
     let mut table = EpochFates::new(index.node_count());
     // carried[e]: in-flight segments whose next hop falls in epoch e.
-    let mut carried: Vec<Vec<Segment>> = vec![Vec::new(); epochs];
+    let mut carried: Vec<Vec<Segment<T>>> = vec![Vec::new(); epochs];
     let mut in_flight = 0usize;
     for epoch in 0..epochs {
         if epoch > 0 {
             table.apply(&deltas[epoch - 1].1);
         }
-        if in_flight == 0 && starts[epoch] == total {
+        if in_flight == 0 && next.is_none() {
             break;
         }
         let end = boundaries.get(epoch).copied();
-        let launched = launches[starts[epoch]..starts[epoch + 1]]
-            .iter()
-            .map(|&i| Segment {
-                packet: i,
-                node: packets[i].src,
-                at: packets[i].sent_at,
-                ttl: packets[i].ttl,
-            });
-        for seg in launched.chain(std::mem::take(&mut carried[epoch])) {
-            let initial_ttl = packets[seg.packet].ttl;
-            // Every carried segment has taken at least one hop.
-            let fresh = seg.ttl == initial_ttl;
-            match resolve(&mut table, seg, initial_ttl, end, link_delay) {
+        // Launches arrive in epoch order, so the ones before the end of
+        // this epoch are exactly the ones launched in it.
+        while let Some(launch) = next.take_if(|l| end.is_none_or(|end| l.sent_at < end)) {
+            assert!(
+                epoch == 0 || boundaries[epoch - 1] <= launch.sent_at,
+                "launches must come in nondecreasing epoch order"
+            );
+            next = launches.next();
+            stats.packets += 1;
+            let seg = Segment {
+                tag: launch.tag,
+                node: launch.src,
+                at: launch.sent_at,
+                ttl: launch.ttl,
+                initial_ttl: launch.ttl,
+            };
+            match resolve(&mut table, seg, end, link_delay) {
                 Ok(fate) => {
-                    if fresh {
-                        stats.memo_hits += 1;
-                    } else {
-                        in_flight -= 1;
-                    }
-                    fates[seg.packet] = Some(fate);
+                    stats.memo_hits += 1;
+                    sink(seg.tag, fate);
                 }
                 Err(seg) => {
-                    if fresh {
-                        stats.walks += 1;
-                        in_flight += 1;
-                    }
+                    stats.walks += 1;
+                    in_flight += 1;
                     carried[epoch_from(boundaries, epoch + 1, seg.at)].push(seg);
                 }
             }
         }
+        for seg in std::mem::take(&mut carried[epoch]) {
+            match resolve(&mut table, seg, end, link_delay) {
+                Ok(fate) => {
+                    in_flight -= 1;
+                    sink(seg.tag, fate);
+                }
+                Err(seg) => carried[epoch_from(boundaries, epoch + 1, seg.at)].push(seg),
+            }
+        }
     }
+    stats
 }
 
 /// Generates the packets sent by `sources` in `[start, end)` toward
@@ -931,8 +998,71 @@ mod tests {
             .collect()
     }
 
+    /// Streams `packets` through [`sweep`] in send-time order (tag =
+    /// packet index) and checks that every packet gets exactly the
+    /// oracle's fate and that the counters equal the batch wrapper's.
+    fn check_streamed_against_batch(
+        fib: &NetworkFib,
+        packets: &[Packet],
+        delay: SimDuration,
+    ) -> Result<(), TestCaseError> {
+        let index = EpochIndex::build(fib, p());
+        let mut order: Vec<usize> = (0..packets.len()).collect();
+        order.sort_by_key(|&i| packets[i].sent_at);
+        let launches = order.iter().map(|&i| Launch {
+            tag: i,
+            src: packets[i].src,
+            sent_at: packets[i].sent_at,
+            ttl: packets[i].ttl,
+        });
+        let mut streamed: Vec<Option<PacketFate>> = vec![None; packets.len()];
+        let stats = sweep(&index, launches, delay, |i, fate| {
+            assert!(streamed[i].replace(fate).is_none(), "one fate per packet");
+        });
+        let streamed: Vec<PacketFate> = streamed
+            .into_iter()
+            .map(|f| f.expect("every launch gets a fate"))
+            .collect();
+        prop_assert_eq!(streamed, walk_all(fib, packets, delay));
+        prop_assert_eq!(stats, walk_indexed_batch(&index, packets, delay).1);
+        Ok(())
+    }
+
+    #[test]
+    #[should_panic(expected = "nondecreasing epoch order")]
+    fn sweep_rejects_launches_out_of_epoch_order() {
+        let mut fib = chain_fib();
+        fib.record(n(1), p(), SimTime::from_secs(5), None);
+        let index = EpochIndex::build(&fib, p());
+        let launch = |secs| Launch {
+            tag: (),
+            src: n(2),
+            sent_at: SimTime::from_secs(secs),
+            ttl: DEFAULT_TTL,
+        };
+        sweep(&index, [launch(6), launch(1)], d2(), |(), _| {});
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streamed sweep (time-ordered launches, fates to a sink)
+        /// gives every packet the oracle's fate and the batch
+        /// wrapper's counters, on random histories and on epochs
+        /// shorter than a hop.
+        #[test]
+        fn streamed_sweep_equals_batch_on_random_histories(
+            raw in proptest::collection::vec(
+                (0u32..8, 0u32..20, proptest::option::of(0u32..8)), 0..60),
+            pkts in proptest::collection::vec(
+                (0u32..8, 0u64..200, 0u32..40), 0..40),
+            nodes in 2u32..8,
+            delay in 1u64..12,
+        ) {
+            let fib = random_fib(nodes, &raw);
+            let packets = random_packets(nodes, &pkts);
+            check_streamed_against_batch(&fib, &packets, SimDuration::from_nanos(delay))?;
+        }
 
         /// Tentpole invariant (satellite b): the batched replay is
         /// fate-for-fate bit-identical to the naive per-packet oracle

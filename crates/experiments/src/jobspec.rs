@@ -169,7 +169,7 @@ impl Deserialize for JobSpec {
         for (key, _) in entries {
             match key.as_str() {
                 "v" | "topology" | "event" | "mrai_secs" | "jitter" | "enhancement" | "seeds"
-                | "flap" | "fork" | "shards" => {}
+                | "flap" | "fork" => {}
                 other => return Err(Error::new(format!("unknown field {other:?}"))),
             }
         }
@@ -226,16 +226,6 @@ impl Deserialize for JobSpec {
         }
         if let Some(flap) = optional(v, "flap") {
             spec.flap = Some(parse_flap(flap)?);
-        }
-        // Deprecated: runs are always serial. Still validated (it is
-        // outside input), then ignored; to be rejected in a later release.
-        if let Some(shards) = optional(v, "shards") {
-            shards
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .filter(|&n| n > 0)
-                .ok_or_else(|| Error::new("shards must be a positive integer"))?;
-            eprintln!("warning: job field \"shards\" is deprecated and ignored");
         }
         if let Some(fork) = optional(v, "fork") {
             if spec.version < 2 {
@@ -402,23 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shards_field_is_ignored_but_still_validated() {
-        let with = JobSpec::parse(r#"{"topology": "clique:5", "shards": 4}"#).unwrap();
-        let without = JobSpec::parse(r#"{"topology": "clique:5"}"#).unwrap();
-        assert_eq!(with, without);
-        let canonical = |spec: &JobSpec| -> Vec<String> {
-            spec.scenarios()
-                .iter()
-                .map(|s| s.to_canonical_json().unwrap())
-                .collect()
-        };
-        assert_eq!(canonical(&with), canonical(&without));
+    fn shards_field_is_rejected_as_unknown() {
         for body in [
+            r#"{"topology": "clique:5", "shards": 4}"#,
             r#"{"topology": "clique:5", "shards": 0}"#,
             r#"{"topology": "clique:5", "shards": "many"}"#,
         ] {
             let err = JobSpec::parse(body).unwrap_err();
-            assert!(err.contains("shards"), "{body} -> {err}");
+            assert!(err.contains("unknown field \"shards\""), "{body} -> {err}");
         }
     }
 

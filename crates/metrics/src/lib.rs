@@ -7,6 +7,13 @@
 //! looping ratio — plus the per-loop census the paper lists as future
 //! work, and serializable result rows for the experiment harness.
 //!
+//! [`measure_run`] measures a run in one streamed pass: the traffic
+//! fleet's send instants feed the data plane's epoch sweep in time
+//! order, and every packet's fate folds into a [`FateTally`] as soon as
+//! it is sealed. No packet or fate is stored, so a run's measurement
+//! memory does not grow with its traffic. [`compute_metrics`] folds the
+//! same tally over packet/fate slices, for tests and the oracle.
+//!
 //! ## Example
 //!
 //! ```
@@ -44,7 +51,7 @@ pub use exploration::{exploration_stats, ExplorationStats};
 pub use export::{to_csv, to_json, MetricsRow};
 pub use loop_stats::{summarize, LoopCensusSummary};
 pub use pipeline::{measure_run, RunMeasurement};
-pub use report::{compute_metrics, PaperMetrics};
+pub use report::{compute_metrics, FateTally, PaperMetrics};
 pub use timeline::{build_timeline, render_timeline, TimelineEvent};
 
 /// Commonly used types, for glob import.
@@ -55,6 +62,6 @@ pub mod prelude {
     pub use crate::export::{to_csv, to_json, MetricsRow};
     pub use crate::loop_stats::{summarize, LoopCensusSummary};
     pub use crate::pipeline::{measure_run, RunMeasurement};
-    pub use crate::report::{compute_metrics, PaperMetrics};
+    pub use crate::report::{compute_metrics, FateTally, PaperMetrics};
     pub use crate::timeline::{build_timeline, render_timeline, TimelineEvent};
 }

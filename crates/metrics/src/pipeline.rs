@@ -1,24 +1,25 @@
 //! One-call measurement pipeline.
 //!
 //! Runs the study's full measurement procedure on a completed
-//! control-plane run: build the traffic fleet, generate the packets
-//! sent during convergence, replay them against the recorded FIB
-//! history, and compute the paper metrics (plus the loop census
-//! extension).
+//! control-plane run as one streamed pass: the CBR fleet's send
+//! instants, merged in time order ([`fleet_send_times`]), feed the
+//! epoch sweep ([`sweep`]), and every fate folds into a [`FateTally`]
+//! as it is sealed. No packet or fate is ever stored: besides the run
+//! record, the pass keeps the epoch index, the sweep's snapshot and
+//! fate table (sized by nodes and epochs), the packets in flight, and
+//! the loop census.
 //!
 //! The replay and the loop census share one
 //! [`EpochIndex`](bgpsim_dataplane::EpochIndex) built from
-//! the run's FIB history: packets are swept epoch by epoch through the
-//! index's delta stream against per-epoch fate tables (see
-//! `bgpsim-dataplane::replay`) and the census consumes the same delta
-//! stream, so the whole measurement makes a single pass over the
-//! recorded history. The naive per-packet
+//! the run's FIB history: the census consumes the same delta stream
+//! the sweep advances through, so the whole measurement makes a single
+//! pass over the recorded history. The naive per-packet
 //! [`walk_all`](bgpsim_dataplane::walk_all) is kept as the oracle and
 //! cross-checked in tests and CI.
 
 use bgpsim_core::Prefix;
 use bgpsim_dataplane::{
-    generate_packets, paper_sources, walk_indexed_batch, LoopRecord, ReplayStats, DEFAULT_TTL,
+    fleet_send_times, paper_sources, sweep, Launch, LoopRecord, ReplayStats, DEFAULT_TTL,
 };
 use bgpsim_netsim::rng::SimRng;
 use bgpsim_netsim::time::SimDuration;
@@ -27,7 +28,7 @@ use bgpsim_topology::NodeId;
 
 use crate::churn::ChurnSummary;
 use crate::loop_stats::{summarize, LoopCensusSummary};
-use crate::report::{compute_metrics, PaperMetrics};
+use crate::report::{FateTally, PaperMetrics};
 
 /// Everything measured about one run.
 #[derive(Debug, Clone)]
@@ -61,12 +62,22 @@ pub fn measure_run(
     let mut traffic_rng = SimRng::new(traffic_seed).fork(0xDA7A);
     let sources = paper_sources(record.node_count, destination, &mut traffic_rng);
     let (start, end) = record.replay_window();
-    let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+    // The tag a launch carries to its fate is its send instant: all the
+    // tally needs to place the packet in the convergence window.
+    let launches = fleet_send_times(&sources, start, end).map(|(src, sent_at)| Launch {
+        tag: sent_at,
+        src,
+        sent_at,
+        ttl: DEFAULT_TTL,
+    });
     let link_delay = SimDuration::from_millis(2);
     // One index serves both the packet replay and the loop census.
     let index = record.fib.epoch_index(prefix);
-    let (fates, replay) = walk_indexed_batch(&index, &packets, link_delay);
-    let metrics = compute_metrics(record, &packets, &fates);
+    let mut tally = FateTally::new(record);
+    let replay = sweep(&index, launches, link_delay, |sent_at, fate| {
+        tally.add(sent_at, &fate)
+    });
+    let metrics = tally.finish(record);
     let census = index.loop_census();
     let census_summary = summarize(&census);
     RunMeasurement {
@@ -81,9 +92,13 @@ pub fn measure_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim_core::{BgpConfig, Jitter};
-    use bgpsim_sim::{ConvergenceExperiment, FailureEvent};
+    use crate::report::compute_metrics;
+    use bgpsim_core::{BgpConfig, BgpMessage, FibEntry, Jitter};
+    use bgpsim_dataplane::{generate_packets, walk_all, walk_indexed_batch};
+    use bgpsim_netsim::time::SimTime;
+    use bgpsim_sim::{ConvergenceExperiment, FailureEvent, UpdateSend};
     use bgpsim_topology::generators;
+    use proptest::prelude::*;
 
     fn run_tdown_clique(n: usize, seed: u64) -> (RunRecord, RunMeasurement) {
         let g = generators::clique(n);
@@ -147,6 +162,84 @@ mod tests {
         // Initial convergence of a clique creates no forwarding loops:
         // routes only ever improve from nothing.
         assert_eq!(m.census_summary.count, 0);
+    }
+
+    /// A run record over a random FIB history (per-node clocks, the
+    /// loop-census proptests' scheme, here in milliseconds; a hop of 8
+    /// or more withdraws the route), with the failure and the last
+    /// update placed so the replay and convergence windows cut through
+    /// the history.
+    fn random_record(
+        nodes: u32,
+        raw: &[(u32, u32, u32)],
+        fail_ms: u64,
+        converged_after_ms: Option<u64>,
+    ) -> RunRecord {
+        let prefix = Prefix::new(0);
+        let mut fib = bgpsim_dataplane::NetworkFib::new(nodes as usize);
+        let mut clock = vec![0u64; nodes as usize];
+        for &(node, dt, hop) in raw {
+            let node = node % nodes;
+            clock[node as usize] += u64::from(dt);
+            // Mostly forwarding entries, so loops are common.
+            let entry = match hop {
+                h if h >= 8 => None,
+                h if h % nodes == node => Some(FibEntry::Local),
+                h => Some(FibEntry::Via(NodeId::new(h % nodes))),
+            };
+            let at = SimTime::from_millis(clock[node as usize]);
+            fib.record(NodeId::new(node), prefix, at, entry);
+        }
+        let failure_at = SimTime::from_millis(fail_ms);
+        let sends = converged_after_ms
+            .map(|ms| UpdateSend {
+                at: failure_at + SimDuration::from_millis(ms),
+                from: NodeId::new(0),
+                to: NodeId::new(1),
+                withdraw: true,
+                message: BgpMessage::withdraw(prefix),
+            })
+            .into_iter()
+            .collect();
+        RunRecord {
+            node_count: nodes as usize,
+            failure_at: Some(failure_at),
+            sends,
+            fib,
+            ..RunRecord::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streamed measurement equals the batch path on random
+        /// histories: the metrics of the materialized fleet's oracle
+        /// fates, and the counters of `walk_indexed_batch` over it.
+        #[test]
+        fn streamed_measure_run_equals_batch_on_random_histories(
+            raw in proptest::collection::vec((0u32..8, 0u32..100, 0u32..10), 8..60),
+            nodes in 2u32..8,
+            dest in 0u32..8,
+            fail_ms in 0u64..600,
+            converged_after_ms in proptest::option::of(0u64..1_500),
+            seed in 0u64..1_000,
+        ) {
+            let record = random_record(nodes, &raw, fail_ms, converged_after_ms);
+            let dest = NodeId::new(dest % nodes);
+            let prefix = Prefix::new(0);
+            let streamed = measure_run(&record, dest, prefix, seed);
+
+            let mut rng = SimRng::new(seed).fork(0xDA7A);
+            let sources = paper_sources(record.node_count, dest, &mut rng);
+            let (start, end) = record.replay_window();
+            let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+            let delay = SimDuration::from_millis(2);
+            let fates = walk_all(&record.fib, &packets, delay);
+            prop_assert_eq!(streamed.metrics, compute_metrics(&record, &packets, &fates));
+            let (_, stats) = walk_indexed_batch(&record.fib.epoch_index(prefix), &packets, delay);
+            prop_assert_eq!(streamed.replay, stats);
+        }
     }
 
     #[test]

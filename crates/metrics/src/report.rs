@@ -51,8 +51,93 @@ impl PaperMetrics {
     }
 }
 
+/// Running totals over a run's packets: everything the paper metrics
+/// need from the data plane — fate counts, the first and last TTL
+/// exhaustion, and how many packets were sent inside the convergence
+/// window — in constant space.
+///
+/// [`measure_run`](crate::measure_run) folds the streamed replay into
+/// one tally; [`compute_metrics`] folds a packet/fate slice pair into
+/// the same tally, so both produce metrics through one path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FateTally {
+    /// `[failure, convergence end]`, if the run has both.
+    window: Option<(SimTime, SimTime)>,
+    /// Packets counted.
+    pub packets_total: u64,
+    /// Packets sent inside the convergence window.
+    pub packets_during_convergence: u64,
+    /// Packets dropped by TTL exhaustion.
+    pub ttl_exhaustions: u64,
+    /// Packets delivered.
+    pub delivered: u64,
+    /// Packets dropped for lack of a route.
+    pub no_route: u64,
+    /// The earliest TTL exhaustion.
+    pub first_exhaustion: Option<SimTime>,
+    /// The latest TTL exhaustion.
+    pub last_exhaustion: Option<SimTime>,
+}
+
+impl FateTally {
+    /// An empty tally for `record`'s convergence window.
+    pub fn new(record: &RunRecord) -> Self {
+        FateTally {
+            window: record.failure_at.zip(record.convergence_end()),
+            ..FateTally::default()
+        }
+    }
+
+    /// Counts one packet, sent at `sent_at`, that met `fate`.
+    pub fn add(&mut self, sent_at: SimTime, fate: &PacketFate) {
+        self.packets_total += 1;
+        if self
+            .window
+            .is_some_and(|(fail, end)| fail <= sent_at && sent_at <= end)
+        {
+            self.packets_during_convergence += 1;
+        }
+        match *fate {
+            PacketFate::TtlExhausted { at, .. } => {
+                self.ttl_exhaustions += 1;
+                self.first_exhaustion = Some(self.first_exhaustion.map_or(at, |f| f.min(at)));
+                self.last_exhaustion = Some(self.last_exhaustion.map_or(at, |l| l.max(at)));
+            }
+            PacketFate::Delivered { .. } => self.delivered += 1,
+            PacketFate::NoRoute { .. } => self.no_route += 1,
+        }
+    }
+
+    /// The paper metrics of `record` with these totals.
+    pub fn finish(&self, record: &RunRecord) -> PaperMetrics {
+        let overall_looping_duration = self
+            .first_exhaustion
+            .zip(self.last_exhaustion)
+            .map(|(f, l)| l - f);
+        let looping_ratio = if self.packets_during_convergence > 0 {
+            self.ttl_exhaustions as f64 / self.packets_during_convergence as f64
+        } else {
+            0.0
+        };
+        let messages_after_failure = record
+            .failure_at
+            .map_or(0, |f| record.sends_since(f) as u64);
+        PaperMetrics {
+            convergence_time: record.convergence_time(),
+            overall_looping_duration,
+            ttl_exhaustions: self.ttl_exhaustions,
+            packets_during_convergence: self.packets_during_convergence,
+            looping_ratio,
+            delivered: self.delivered,
+            no_route: self.no_route,
+            packets_total: self.packets_total,
+            messages_after_failure,
+        }
+    }
+}
+
 /// Computes the paper metrics from a run record and the fates of the
-/// packets replayed against it.
+/// packets replayed against it: a [`FateTally`] folded over the pairs.
 ///
 /// `packets` and `fates` must be parallel arrays (as produced by
 /// [`bgpsim_dataplane::walk_all`]).
@@ -70,52 +155,11 @@ pub fn compute_metrics(
         fates.len(),
         "packets and fates must be parallel"
     );
-    let mut ttl_exhaustions = 0u64;
-    let mut delivered = 0u64;
-    let mut no_route = 0u64;
-    let mut first_exhaustion: Option<SimTime> = None;
-    let mut last_exhaustion: Option<SimTime> = None;
-    for fate in fates {
-        match fate {
-            PacketFate::TtlExhausted { at, .. } => {
-                ttl_exhaustions += 1;
-                first_exhaustion = Some(first_exhaustion.map_or(*at, |f| f.min(*at)));
-                last_exhaustion = Some(last_exhaustion.map_or(*at, |l| l.max(*at)));
-            }
-            PacketFate::Delivered { .. } => delivered += 1,
-            PacketFate::NoRoute { .. } => no_route += 1,
-        }
+    let mut tally = FateTally::new(record);
+    for (packet, fate) in packets.iter().zip(fates) {
+        tally.add(packet.sent_at, fate);
     }
-    let overall_looping_duration = match (first_exhaustion, last_exhaustion) {
-        (Some(f), Some(l)) => Some(l - f),
-        _ => None,
-    };
-    let packets_during_convergence = match (record.failure_at, record.convergence_end()) {
-        (Some(fail), Some(end)) => packets
-            .iter()
-            .filter(|p| p.sent_at >= fail && p.sent_at <= end)
-            .count() as u64,
-        _ => 0,
-    };
-    let looping_ratio = if packets_during_convergence > 0 {
-        ttl_exhaustions as f64 / packets_during_convergence as f64
-    } else {
-        0.0
-    };
-    let messages_after_failure = record
-        .failure_at
-        .map_or(0, |f| record.sends_since(f) as u64);
-    PaperMetrics {
-        convergence_time: record.convergence_time(),
-        overall_looping_duration,
-        ttl_exhaustions,
-        packets_during_convergence,
-        looping_ratio,
-        delivered,
-        no_route,
-        packets_total: packets.len() as u64,
-        messages_after_failure,
-    }
+    tally.finish(record)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! in-flight runs finish, and flushes the journal and trace sinks.
 
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -237,11 +237,15 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // Idle keep-alive connections die after a quiet period so handler
     // threads cannot accumulate forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // Each response leaves in one write at its flush (the writer below
+    // is buffered), so Nagle's algorithm would only hold the last
+    // segment back waiting for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut writer = BufWriter::new(stream);
     loop {
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
@@ -521,7 +525,7 @@ fn release_job(shared: &Arc<Shared>, entry: &Arc<JobEntry>) {
 }
 
 fn stream_results(
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
     entry: &Arc<JobEntry>,
     keep_alive: bool,
 ) -> std::io::Result<()> {

@@ -1,8 +1,11 @@
 //! End-to-end tests booting the daemon on an ephemeral port and
 //! driving it over real sockets with the crate's own HTTP client.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use bgpsim_runner::RunnerConfig;
 use bgpsim_serve::client::{request, Response};
@@ -141,30 +144,63 @@ fn concurrent_identical_submissions_share_the_cache_and_stream_identically() {
 }
 
 #[test]
-fn deprecated_shards_field_streams_identically_to_a_plain_submission() {
-    // Isolated caches so the second daemon actually simulates instead
-    // of replaying the first daemon's cached results.
-    let (ref_server, ref_addr, _ref_dir) = boot("plain-ref", 2, AdmissionLimits::default());
-    let (server, addr, _dir) = boot("deprecated-shards", 2, AdmissionLimits::default());
-
-    let plain = r#"{"topology":"clique:8","event":"tdown","seeds":[5]}"#;
-    let resp = post(&ref_addr, "/v1/jobs", "alice", plain);
-    assert_eq!(resp.status, 201, "{}", resp.text());
-    let id = field(&resp.text(), "id").unwrap();
-    let reference = get(&ref_addr, &format!("/v1/jobs/{id}/results")).text();
-    ref_server.shutdown();
-
+fn shards_field_is_rejected_with_a_400_naming_it() {
+    let (server, addr, _dir) = boot("shards-rejected", 1, AdmissionLimits::default());
     let with_shards = r#"{"topology":"clique:8","event":"tdown","seeds":[5],"shards":3}"#;
     let resp = post(&addr, "/v1/jobs", "bob", with_shards);
-    assert_eq!(resp.status, 201, "{}", resp.text());
-    let id = field(&resp.text(), "id").unwrap();
-    let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
-    assert_eq!(stream.status, 200);
-    assert_eq!(
-        stream.text(),
-        reference,
-        "the ignored shards field must not change the result stream"
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("shards"), "{}", resp.text());
+    server.shutdown();
+}
+
+#[test]
+fn keep_alive_requests_are_not_stalled_by_nagle() {
+    // Ten sequential requests on one connection. A response that left
+    // as several small segments would wait on Nagle's algorithm and the
+    // client's delayed ACK, ~40 ms per request (~400 ms in all); one
+    // write per response on a TCP_NODELAY socket has nothing to wait
+    // for and takes a few milliseconds.
+    let (server, addr, _dir) = boot("keep-alive", 1, AdmissionLimits::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let started = Instant::now();
+    for _ in 0..10 {
+        writer
+            .write_all(format!("GET /v1/healthz HTTP/1.1\r\nhost: {addr}\r\n\r\n").as_bytes())
+            .expect("send request");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("status line");
+        assert!(line.starts_with("HTTP/1.1 200 "), "{line:?}");
+        let mut length = None;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).expect("header line");
+            if line == "\r\n" {
+                break;
+            }
+            let lower = line.to_ascii_lowercase();
+            if let Some(value) = lower.strip_prefix("content-length:") {
+                length = value.trim().parse::<usize>().ok();
+            }
+            assert!(
+                lower != "connection: close\r\n",
+                "the server closed keep-alive"
+            );
+        }
+        let mut body = vec![0u8; length.expect("content-length")];
+        reader.read_exact(&mut body).expect("body");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "10 keep-alive requests took {elapsed:?}"
     );
+    drop((writer, reader));
     server.shutdown();
 }
 

@@ -9,6 +9,7 @@
 use bgpsim::netsim::rng::SimRng;
 use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
+use proptest::prelude::*;
 
 fn equivalence_case(graph: Graph, dest: NodeId, failure: FailureEvent, seed: u64) {
     let prefix = Prefix::new(0);
@@ -184,6 +185,54 @@ fn batched_matches_naive_on_flap_train() {
         "a flap train must produce many FIB epochs, got {}",
         stats.epochs
     );
+}
+
+/// The measurement of `result` (streamed by `measure_run`) equals the
+/// batch path over the materialized fleet: the metrics of the oracle's
+/// fates, and the counters of `walk_indexed_batch`.
+fn assert_streamed_measurement_matches_batch(result: &ScenarioResult, seed: u64) {
+    let record = &result.record;
+    let prefix = Prefix::new(0);
+    let mut rng = SimRng::new(seed).fork(0xDA7A);
+    let sources = paper_sources(record.node_count, result.destination, &mut rng);
+    let (start, end) = record.replay_window();
+    let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+    let delay = SimDuration::from_millis(2);
+    let fates = walk_all(&record.fib, &packets, delay);
+    assert_eq!(
+        result.measurement.metrics,
+        compute_metrics(record, &packets, &fates)
+    );
+    let (_, stats) = walk_indexed_batch(&record.fib.epoch_index(prefix), &packets, delay);
+    assert_eq!(result.measurement.replay, stats);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Streamed measurement equals the batch path on flap-train runs,
+    /// whose link down/up trains pack many FIB epochs into the replay
+    /// window.
+    #[test]
+    fn streamed_measure_run_matches_batch_on_flap_trains(
+        size in 3usize..5,
+        period_s in 4u64..20,
+        count in 1u32..4,
+        jitter_pct in 0u32..50,
+        seed in 0u64..10_000,
+    ) {
+        let result = Scenario::new(TopologySpec::BClique(size), EventKind::Flap)
+            .with_flap(FlapProfile {
+                period: SimDuration::from_secs(period_s),
+                count,
+                jitter: f64::from(jitter_pct) / 100.0,
+                loss: 0.0,
+            })
+            .with_seed(seed)
+            .run();
+        prop_assert!(result.record.faults_injected >= 2, "the flap train fired");
+        assert_streamed_measurement_matches_batch(&result, seed);
+    }
 }
 
 /// `measure_run` (which routes through the batched replay) produces the
